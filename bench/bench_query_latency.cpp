@@ -225,12 +225,12 @@ int main(int argc, char** argv) {
 
   // ---- Shared buffer pool: repeated one-shot queries, cold open.
   //
-  // Under WAL durability every one-shot facade query opens a fresh
-  // snapshot. Before the shared pool, each snapshot carried a private
-  // copy-on-read cache, so EVERY query cold-read its working set from
-  // the database; with the pool, only the first touch of a page image
-  // pays storage — successive queries run warm no matter how many
-  // snapshots come and go.
+  // Every one-shot facade query opens a fresh snapshot. Before the
+  // shared pool, each snapshot carried a private copy-on-read cache,
+  // so EVERY query cold-read its working set from the database; with
+  // the pool, only the first touch of a page image pays storage —
+  // successive queries run warm no matter how many snapshots come and
+  // go.
   //
   // Modeled like the paper's forensics pattern: ingest a history, CLOSE
   // it, reopen the file cold, and interrogate it with repeated one-shot
@@ -258,7 +258,6 @@ int main(int argc, char** argv) {
       prov::ProvenanceDb::Options options;
       options.db.env = &env;
       options.db.sync = false;  // measuring the read path, not fsync
-      options.db.durability = storage::DurabilityMode::kWal;
       options.db.pool_bytes = pool_bytes;
 
       std::vector<std::string> qs(

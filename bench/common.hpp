@@ -143,10 +143,9 @@ struct FixtureOptions {
   double redirect_fraction = 0.06;  // web knob (E9 raises it)
   sim::UserConfig user;             // overrides applied after defaults
   bool user_overridden = false;
-  // Ingest rides the WAL + group-commit + batched-transaction path by
-  // default — the production capture configuration. Set durability to
-  // kRollbackJournal / ingest_batch to 1 to measure the naive path.
-  storage::DurabilityMode durability = storage::DurabilityMode::kWal;
+  // Ingest rides the group-commit + batched-transaction path by
+  // default — the production capture configuration. Set
+  // wal_group_commit / ingest_batch to 1 to measure the naive path.
   uint32_t wal_group_commit = 8;
   size_t ingest_batch = 256;  // events per storage transaction
   // Storage diet: kFast compresses checkpoint folds + demotes pool
@@ -194,7 +193,6 @@ struct HistoryFixture {
     storage::DbOptions db_opts;
     db_opts.env = &fx->env;
     db_opts.sync = false;  // measuring CPU/layout, not fsync
-    db_opts.durability = options.durability;
     db_opts.wal_group_commit = options.wal_group_commit;
     db_opts.compression = options.compression;
     fx->db = MustOk(storage::Db::Open("bench.db", db_opts), "open db");
@@ -215,7 +213,7 @@ struct HistoryFixture {
     util::Stopwatch watch;
     // Batched ingest: chunks of events share one storage transaction
     // (each recorder's per-event transaction nests into it), and with
-    // WAL durability adjacent chunks share one group-committed fsync.
+    // group commit adjacent chunks share one fsync.
     const size_t batch = std::max<size_t>(1, options.ingest_batch);
     for (size_t start = 0; start < fx->out.events.size(); start += batch) {
       size_t end = std::min(fx->out.events.size(), start + batch);
@@ -323,7 +321,7 @@ inline void MetricObsHistogram(const std::string& prefix,
 inline obs::Histogram& CommitLatencyHistogram() {
   return *obs::MetricsRegistry::Global().GetHistogram(
       "bp_commit_us", "",
-      "End-to-end Pager::Commit latency (us), both durability modes");
+      "End-to-end Pager::Commit latency (us)");
 }
 inline obs::Histogram& QueryLatencyHistogram(const char* family) {
   return *obs::MetricsRegistry::Global().GetHistogram(

@@ -25,9 +25,10 @@ int main(int argc, char** argv) {
   const std::string query = argc > 3 ? argv[3] : "";
   const std::string path = "/tmp/bp_history_explorer.db";
 
-  // Fresh file each run.
-  (void)storage::Env::Posix()->Remove(path);
-  (void)storage::Env::Posix()->Remove(path + ".journal");
+  // Fresh file each run (and no log streams left by a killed run).
+  for (const char* suffix : {"", ".wal", ".wal1"}) {
+    (void)storage::Env::Posix()->Remove(path + suffix);
+  }
 
   // 1. Simulate a user.
   util::Rng rng(seed);

@@ -66,9 +66,9 @@ class ProvStore {
   // call's own AutoTxn composes into it). Capture is bursty — a page
   // load emits several events back to back — and per-event transactions
   // pay the full durability cost every time; a batch pays it once. With
-  // the database opened in DurabilityMode::kWal and wal_group_commit >
-  // 1, adjacent batches additionally share a single log fsync, which is
-  // the cheap sustained-ingest path the paper's capture workload needs.
+  // wal_group_commit > 1, adjacent batches additionally share a single
+  // log fsync, which is the cheap sustained-ingest path the paper's
+  // capture workload needs.
   //
   //   { prov::ProvStore::IngestBatch batch(*store);
   //     ... store->RecordVisit(...); store->RecordClose(...); ...
@@ -82,9 +82,6 @@ class ProvStore {
    public:
     explicit IngestBatch(ProvStore& store) : txn_(store.db_.pager()) {}
     util::Status Commit() { return txn_.Commit(); }
-    // Whether destruction without Commit actually rolls back (false for
-    // a batch nested inside an outer transaction).
-    bool owns_transaction() const { return txn_.owns(); }
 
    private:
     storage::AutoTxn txn_;

@@ -1,6 +1,7 @@
 #include "prov/provenance_db.hpp"
 
 #include <algorithm>
+#include <thread>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -144,10 +145,11 @@ Status ProvenanceDb::Close() {
   // Checked before any irreversible step so a refused Close leaves a
   // fully working database.
   {
-    util::RecursiveMutexLock lock(mu_);
+    util::MutexLock lock(mu_);
     if (db_->pager().InTransaction()) {
       return Status::FailedPrecondition(
-          "Close inside an open Batch: commit or roll it back first");
+          "Close inside an open storage transaction: commit or roll it "
+          "back first");
     }
     if (db_->pager().live_snapshots() > 0) {
       return Status::FailedPrecondition(
@@ -166,15 +168,12 @@ Status ProvenanceDb::Close() {
   pipeline_.reset();
   async_sink_.reset();
 
-  util::RecursiveMutexLock lock(mu_);
-  // Fold the log into the database file now (no-op in journal mode).
-  // ~Pager would do this too, but here the error surfaces — and on
-  // failure the log simply stays behind for the next Open to replay,
-  // so closing remains safe to continue.
-  Status checkpoint_status;
-  if (db_->pager().durability() == storage::DurabilityMode::kWal) {
-    checkpoint_status = db_->pager().Checkpoint();
-  }
+  util::MutexLock lock(mu_);
+  // Fold the log into the database file now. ~Pager would do this too,
+  // but here the error surfaces — and on failure the log simply stays
+  // behind for the next Open to replay, so closing remains safe to
+  // continue.
+  Status checkpoint_status = db_->pager().Checkpoint();
   final_stats_ = db_->pager().stats();
   closed_.store(true, std::memory_order_release);
   // Teardown in dependency order; ~Pager releases this database's
@@ -222,38 +221,22 @@ capture::PipelineStats ProvenanceDb::pipeline_stats() const {
 }
 
 // Committer thread: one storage transaction for the whole batch. The
-// writer lock is held end to end, so no query can interleave — which is
-// why, unlike the user-facing Batch, a rollback here needs no searcher
-// index restore (nothing can have indexed the doomed pages).
+// writer lock is held end to end, so no query can interleave.
 Result<bool> ProvenanceDb::CommitEventBatch(
     std::vector<capture::BrowserEvent>&& events, size_t backlog) {
   (void)backlog;  // batch size already adapted by the pipeline's pop
-  util::RecursiveMutexLock lock(mu_);
-  ProvStore::IngestBatch batch(*store_);
-  for (const capture::BrowserEvent& event : events) {
-    Status published = bus_.Publish(event);
-    if (!published.ok()) {
-      // ~IngestBatch rolls the whole transaction back: the batch is
-      // all-or-nothing, so a mid-batch sink failure never leaves a
-      // half-applied event group behind.
-      return published;
-    }
+  // Hand the writer lock to a maintenance pass that is already waiting
+  // for it. Without this the committer, which re-locks mu_ microseconds
+  // after releasing it, wins nearly every race and the index lane
+  // starves for as long as the queue stays deep.
+  while (maintenance_waiting_.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
   }
-  index_stale_ = true;
-  stale_events_ += events.size();
-  Status committed = batch.Commit();
-  if (!committed.ok()) {
-    // Commit marks the AutoTxn retired before the pager runs, so a
-    // failed pager commit leaves the transaction open; roll it back so
-    // the pager is usable when the sticky error is later cleared by a
-    // reopen.
-    if (db_->pager().InTransaction()) (void)db_->pager().Rollback();
-    return committed;
-  }
+  util::MutexLock lock(mu_);
+  BP_RETURN_IF_ERROR(PublishBatchLocked(events));
   // Durable already? True when the commit filled and flushed the
-  // group-commit window (or the mode has no durability lag).
-  return db_->pager().durability() != storage::DurabilityMode::kWal ||
-         db_->pager().unsynced_commits() == 0;
+  // group-commit window.
+  return db_->pager().unsynced_commits() == 0;
 }
 
 // Deliberately NOT under mu_: FlushPending only takes the pager's
@@ -270,7 +253,7 @@ Status ProvenanceDb::SyncPipeline() {
 }
 
 Status ProvenanceDb::Ingest(const capture::BrowserEvent& event) {
-  util::RecursiveMutexLock lock(mu_);
+  util::MutexLock lock(mu_);
   if (closed_.load(std::memory_order_acquire)) return ClosedError();
   index_stale_ = true;
   ++stale_events_;
@@ -280,25 +263,36 @@ Status ProvenanceDb::Ingest(const capture::BrowserEvent& event) {
 Status ProvenanceDb::IngestAll(
     const std::vector<capture::BrowserEvent>& events) {
   if (closed_.load(std::memory_order_acquire)) return ClosedError();
-  for (size_t start = 0; start < events.size(); start += ingest_batch_) {
-    const size_t end = std::min(events.size(), start + ingest_batch_);
-    Batch batch(*this);
-    for (size_t i = start; i < end; ++i) {
-      BP_RETURN_IF_ERROR(Ingest(events[i]));
-    }
-    BP_RETURN_IF_ERROR(batch.Commit());
+  const std::span<const capture::BrowserEvent> all(events);
+  for (size_t start = 0; start < all.size(); start += ingest_batch_) {
+    const size_t count = std::min(ingest_batch_, all.size() - start);
+    util::MutexLock lock(mu_);
+    BP_RETURN_IF_ERROR(PublishBatchLocked(all.subspan(start, count)));
   }
   return Status::Ok();
 }
 
-Status ProvenanceDb::RefreshIndex() {
-  if (restore_watermark_ != UINT64_MAX) {
-    // A Batch rolled back after a mid-batch query indexed its pages:
-    // rewind past the rolled-back node ids (now reusable) and re-read
-    // the reverted corpus stats before indexing anything new.
-    BP_RETURN_IF_ERROR(searcher_->RestoreIndexState(restore_watermark_));
-    restore_watermark_ = UINT64_MAX;
+Status ProvenanceDb::PublishBatchLocked(
+    std::span<const capture::BrowserEvent> events) {
+  index_stale_ = true;
+  stale_events_ += events.size();
+  ProvStore::IngestBatch batch(*store_);
+  for (const capture::BrowserEvent& event : events) {
+    // On a sink failure ~IngestBatch rolls the whole transaction back,
+    // so no half-applied event group is ever left behind.
+    BP_RETURN_IF_ERROR(bus_.Publish(event));
   }
+  Status committed = batch.Commit();
+  if (!committed.ok() && db_->pager().InTransaction()) {
+    // Commit marks the AutoTxn retired before the pager runs, so a
+    // failed pager commit leaves the transaction open; roll it back so
+    // the pager stays usable (and a reopen can clear a sticky error).
+    (void)db_->pager().Rollback();
+  }
+  return committed;
+}
+
+Status ProvenanceDb::RefreshIndex() {
   if (!index_stale_) return Status::Ok();
   BP_RETURN_IF_ERROR(searcher_->IndexNewPages());
   index_stale_ = false;
@@ -316,7 +310,9 @@ Status ProvenanceDb::RefreshIndex() {
 // other commit.
 Status ProvenanceDb::MaintainIndex() {
   {
-    util::RecursiveMutexLock lock(mu_);
+    maintenance_waiting_.store(true, std::memory_order_release);
+    util::MutexLock lock(mu_);
+    maintenance_waiting_.store(false, std::memory_order_release);
     if (closed_.load(std::memory_order_acquire)) return Status::Ok();
     if (!index_stale_ || stale_events_ < index_min_backlog_) {
       return Status::Ok();  // not enough backlog to be worth a pass
@@ -329,17 +325,14 @@ Status ProvenanceDb::MaintainIndex() {
 }
 
 Status ProvenanceDb::Sync() {
-  util::RecursiveMutexLock lock(mu_);
+  util::MutexLock lock(mu_);
   if (closed_.load(std::memory_order_acquire)) return ClosedError();
   return db_->pager().SyncWal();
 }
 
 Status ProvenanceDb::Checkpoint() {
-  util::RecursiveMutexLock lock(mu_);
+  util::MutexLock lock(mu_);
   if (closed_.load(std::memory_order_acquire)) return ClosedError();
-  if (db_->pager().durability() != storage::DurabilityMode::kWal) {
-    return Status::Ok();  // nothing to fold: the db file is current
-  }
   return db_->pager().Checkpoint();
 }
 
@@ -347,6 +340,15 @@ Status ProvenanceDb::Checkpoint() {
 
 Result<ProvenanceDb::SnapshotView> ProvenanceDb::BeginSnapshotLocked(
     bool with_searcher) {
+  if (db_->pager().InTransaction()) {
+    // A snapshot here could not keep the "fully searchable" promise:
+    // the index refresh would compose into the open transaction
+    // (uncommitted, so invisible to the snapshot), silently hiding
+    // committed pages the stale index has not covered yet. Refuse.
+    return Status::FailedPrecondition(
+        "snapshot inside an open storage transaction: take it before the "
+        "transaction or after it commits");
+  }
   SnapshotView view;
   if (with_searcher) {
     // Index first so text search over the frozen view covers everything
@@ -368,17 +370,8 @@ Result<ProvenanceDb::SnapshotView> ProvenanceDb::BeginSnapshot() {
   // Read-your-writes: everything IngestAsync'd so far must be inside
   // the frozen view (must run before the lock; the committer takes it).
   MaybeDrainForQuery();
-  util::RecursiveMutexLock lock(mu_);
+  util::MutexLock lock(mu_);
   if (closed_.load(std::memory_order_acquire)) return ClosedError();
-  if (db_->pager().InTransaction()) {
-    // A snapshot here could not keep the "fully searchable" promise:
-    // the index refresh would compose into the open batch (uncommitted,
-    // so invisible to the snapshot), silently hiding committed pages
-    // the stale index has not covered yet. Refuse instead.
-    return Status::FailedPrecondition(
-        "BeginSnapshot inside an open Batch: take the snapshot before "
-        "the batch or after it commits");
-  }
   return BeginSnapshotLocked(/*with_searcher=*/true);
 }
 
@@ -403,17 +396,6 @@ auto WithPageStats(const storage::Snapshot& snap, Fn&& fn)
 }
 
 }  // namespace
-
-// One-shot queries use a private snapshot when one is available AND
-// honest: WAL durability only (journal mode rewrites the database file
-// in place), and not inside an open Batch — a snapshot excludes the
-// batch's uncommitted events, but a caller querying mid-batch expects
-// to read their own writes, so that case stays on the serialized live
-// path (which the held lock makes safe).
-bool ProvenanceDb::UseSnapshotQueriesLocked() const {
-  return db_->pager().durability() == storage::DurabilityMode::kWal &&
-         !db_->pager().InTransaction();
-}
 
 Result<search::ContextualSearchResult> ProvenanceDb::SnapshotView::Search(
     const std::string& query,
@@ -479,56 +461,37 @@ graph::NodeCursor ProvenanceDb::SnapshotView::Nodes(
 
 // --------------------------------------------------- one-shot queries
 //
-// All six dispatch through OneShot (provenance_db.hpp): under WAL
-// durability each call opens a private snapshot — the lock is held
-// only while the snapshot is created, and the query itself runs
-// against the frozen view, concurrently with ingestion and other
-// readers. Journal mode and mid-batch calls run the live path under
-// the lock — the pre-snapshot behavior.
+// All six dispatch through OneShot (provenance_db.hpp): each call opens
+// a private snapshot — the lock is held only while the snapshot is
+// created, and the query itself runs against the frozen view,
+// concurrently with ingestion and other readers.
 
 Result<search::ContextualSearchResult> ProvenanceDb::Search(
     const std::string& query,
     const search::ContextualSearchOptions& options) {
   obs::ScopedTimerUs timer(query_us_search_);
   obs::ScopedSpan span("query.search");
-  return OneShot(
-      /*with_searcher=*/true,
-      [&](SnapshotView& view) { return view.Search(query, options); },
-      [&]() -> Result<search::ContextualSearchResult> {
-        // OneShot invokes this while holding mu_; the analysis checks
-        // lambda bodies as separate functions, so restate that here.
-        mu_.AssertHeld();
-        BP_RETURN_IF_ERROR(RefreshIndex());
-        return searcher_->ContextualSearch(query, options);
-      });
+  return OneShot(/*with_searcher=*/true, [&](SnapshotView& view) {
+    return view.Search(query, options);
+  });
 }
 
 Result<search::ContextualSearchResult> ProvenanceDb::TextualSearch(
     const std::string& query, size_t k) {
   obs::ScopedTimerUs timer(query_us_textual_);
   obs::ScopedSpan span("query.textual_search");
-  return OneShot(
-      /*with_searcher=*/true,
-      [&](SnapshotView& view) { return view.TextualSearch(query, k); },
-      [&]() -> Result<search::ContextualSearchResult> {
-        mu_.AssertHeld();  // held by OneShot (see Search above)
-        BP_RETURN_IF_ERROR(RefreshIndex());
-        return searcher_->TextualSearch(query, k);
-      });
+  return OneShot(/*with_searcher=*/true, [&](SnapshotView& view) {
+    return view.TextualSearch(query, k);
+  });
 }
 
 Result<search::PersonalizationResult> ProvenanceDb::Personalize(
     const std::string& query, const search::PersonalizeOptions& options) {
   obs::ScopedTimerUs timer(query_us_personalize_);
   obs::ScopedSpan span("query.personalize");
-  return OneShot(
-      /*with_searcher=*/true,
-      [&](SnapshotView& view) { return view.Personalize(query, options); },
-      [&]() -> Result<search::PersonalizationResult> {
-        mu_.AssertHeld();  // held by OneShot (see Search above)
-        BP_RETURN_IF_ERROR(RefreshIndex());
-        return search::PersonalizeQuery(*searcher_, query, options);
-      });
+  return OneShot(/*with_searcher=*/true, [&](SnapshotView& view) {
+    return view.Personalize(query, options);
+  });
 }
 
 Result<search::TimeContextResult> ProvenanceDb::TimeContext(
@@ -536,45 +499,27 @@ Result<search::TimeContextResult> ProvenanceDb::TimeContext(
     const search::TimeContextOptions& options) {
   obs::ScopedTimerUs timer(query_us_time_context_);
   obs::ScopedSpan span("query.time_context");
-  return OneShot(
-      /*with_searcher=*/true,
-      [&](SnapshotView& view) {
-        return view.TimeContext(primary_query, context_query, options);
-      },
-      [&]() -> Result<search::TimeContextResult> {
-        mu_.AssertHeld();  // held by OneShot (see Search above)
-        BP_RETURN_IF_ERROR(RefreshIndex());
-        return search::TimeContextualSearch(*searcher_, primary_query,
-                                            context_query, options);
-      });
+  return OneShot(/*with_searcher=*/true, [&](SnapshotView& view) {
+    return view.TimeContext(primary_query, context_query, options);
+  });
 }
 
 Result<search::LineageReport> ProvenanceDb::TraceDownload(
     graph::NodeId download, const search::LineageOptions& options) {
   obs::ScopedTimerUs timer(query_us_trace_);
   obs::ScopedSpan span("query.trace_download");
-  return OneShot(
-      /*with_searcher=*/false,
-      [&](SnapshotView& view) {
-        return view.TraceDownload(download, options);
-      },
-      [&]() -> Result<search::LineageReport> {
-        return search::TraceDownload(*store_, download, options);
-      });
+  return OneShot(/*with_searcher=*/false, [&](SnapshotView& view) {
+    return view.TraceDownload(download, options);
+  });
 }
 
 Result<search::DescendantReport> ProvenanceDb::DescendantDownloads(
     const std::string& url, const search::LineageOptions& options) {
   obs::ScopedTimerUs timer(query_us_descendants_);
   obs::ScopedSpan span("query.descendant_downloads");
-  return OneShot(
-      /*with_searcher=*/false,
-      [&](SnapshotView& view) {
-        return view.DescendantDownloads(url, options);
-      },
-      [&]() -> Result<search::DescendantReport> {
-        return search::DescendantDownloads(*store_, url, options);
-      });
+  return OneShot(/*with_searcher=*/false, [&](SnapshotView& view) {
+    return view.DescendantDownloads(url, options);
+  });
 }
 
 // --------------------------------------------------- observability

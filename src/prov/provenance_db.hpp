@@ -22,15 +22,16 @@
 // immediately when the queue runs dry. Flush(ticket)/Drain() are the
 // durability barriers; read-your-writes for queries is preserved by
 // draining before one-shot queries and BeginSnapshot (see
-// Options::async.drain_before_query). The synchronous Ingest/IngestAll/
-// Batch path remains for callers that want commit-on-return semantics;
-// both paths serialize on the same internal writer mutex, so they
-// interleave at transaction granularity.
+// Options::async.drain_before_query). The synchronous Ingest/IngestAll
+// path remains for callers that want commit-on-return semantics; both
+// paths serialize on the same internal writer mutex, so they interleave
+// at transaction granularity.
 //
-// One-shot query methods may be called from any thread, and every
-// one-shot query under WAL durability runs against a fresh snapshot —
-// so queries from other threads never observe a half-applied batch and
-// never block behind each other, only behind snapshot creation. For
+// Durability is the write-ahead log (storage/pager.hpp), and there is
+// one query path: every one-shot query method, callable from any
+// thread, runs against a private snapshot opened for just that call —
+// so queries never observe a half-applied batch and never block behind
+// each other, only behind snapshot creation. For
 // query bursts that should share one consistent view (paging through
 // results, multi-query forensics, repeated TimeContext against one
 // interval index), BeginSnapshot() hands out a SnapshotView that pins
@@ -48,8 +49,9 @@
 
 #include <atomic>
 #include <memory>
-#include <mutex>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "capture/bus.hpp"
@@ -63,7 +65,6 @@
 #include "storage/db.hpp"
 #include "storage/snapshot.hpp"
 #include "util/mutex.hpp"
-#include "util/require.hpp"
 #include "util/status.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -76,8 +77,8 @@ namespace bp::prov {
 class ProvenanceDb {
  public:
   struct Options {
-    // Storage knobs (env, cache, durability, buffer pool). The default
-    // WAL + group commit configuration is the sustained-capture path;
+    // Storage knobs (env, cache, group commit, buffer pool). The default
+    // group commit configuration is the sustained-capture path;
     // pass a MemEnv via db.env for tests and examples. The shared
     // versioned buffer pool behind every snapshot read is sized by
     // db.pool_bytes (0 disables it; db.buffer_pool shares one pool —
@@ -127,7 +128,6 @@ class ProvenanceDb {
     AsyncOptions async;
 
     Options() {
-      db.durability = storage::DurabilityMode::kWal;
       db.wal_group_commit = 8;
       // Partitioned write domains: graph/prov/places commits ride
       // stream 0, lazy text-index refreshes stream 1 (see
@@ -145,18 +145,18 @@ class ProvenanceDb {
       const std::string& path, Options options = {});
 
   // Explicit clean shutdown: drains the async pipeline, joins the
-  // committer, checkpoints (WAL mode: folds the log into the database
-  // file), and releases every resource — including this database's
+  // committer, checkpoints (folds the log into the database file), and
+  // releases every resource — including this database's
   // frames in a shared buffer pool — without waiting for the
   // destructor. This is what lets a handle cache (service layer) evict
   // a database deterministically instead of relying on destructor
   // ordering, and it surfaces the errors a destructor would swallow
   // (the first of: drain failure, checkpoint failure).
   //
-  // Preconditions: no open Batch, no live SnapshotView, and — like the
-  // destructor — no concurrent calls on this instance. Returns
-  // FailedPrecondition (and closes nothing) when a Batch or snapshot is
-  // still open.
+  // Preconditions: no storage transaction open through db(), no live
+  // SnapshotView, and — like the destructor — no concurrent calls on
+  // this instance. Returns FailedPrecondition (and closes nothing) when
+  // a transaction or snapshot is still open.
   //
   // Post-Close contract: Close() again is Ok (idempotent); every
   // ingestion, query, snapshot, and durability method returns
@@ -178,8 +178,8 @@ class ProvenanceDb {
   //                  batches, commits, and adaptively group-commits.
   //                  This is the capture path: a browser thread pays a
   //                  queue push, never a storage transaction.
-  //   Ingest/IngestAll/Batch — synchronous; committed (though with
-  //                  group commit not necessarily fsynced) on return.
+  //   Ingest/IngestAll — synchronous; committed (though with group
+  //                  commit not necessarily fsynced) on return.
 
   // Ticket identifying one asynchronously ingested event; pass it to
   // Flush to wait for durability. Tickets are dense and monotone.
@@ -195,8 +195,6 @@ class ProvenanceDb {
 
   // Blocks until every event up to `ticket` is durable (committed AND
   // fsynced — stronger than synchronous Ingest under group commit).
-  // Do not call inside an open Batch: the committer needs the writer
-  // lock the Batch holds.
   util::Status Flush(IngestTicket ticket);
   // Barrier over everything enqueued so far: Flush(last ticket).
   util::Status Drain();
@@ -216,57 +214,9 @@ class ProvenanceDb {
 
   // Publishes all events, `ingest_batch` per storage transaction (with
   // WAL group commit, adjacent batches additionally share an fsync).
+  // Each transaction is all-or-nothing: a sink or commit failure rolls
+  // its chunk back, and earlier chunks stay committed.
   util::Status IngestAll(const std::vector<capture::BrowserEvent>& events);
-
-  // Groups many Ingest calls into one storage transaction, holding the
-  // facade's writer lock for its whole lifetime (snapshot readers keep
-  // running; other writers and one-shot queries wait). Destruction
-  // without Commit rolls the batch back.
-  //
-  //   { prov::ProvenanceDb::Batch batch(*db);
-  //     ... db->Ingest(...); db->Ingest(...); ...
-  //     BP_RETURN_IF_ERROR(batch.Commit()); }
-  class Batch {
-   public:
-    // Contract violation (throws) on a closed database: the batch
-    // would have no storage to compose into.
-    explicit Batch(ProvenanceDb& db)
-        : db_(CheckOpenForBatch(db)),
-          lock_(db.mu_),
-          watermark_(db.searcher_->indexed_watermark()),
-          inner_(*db.store_) {
-      // While any user Batch is open, queries skip the read-your-writes
-      // drain: the committer needs mu_ (held right here) to make
-      // progress, so a same-thread drain would deadlock — and mid-batch
-      // queries want the live read-your-own-writes path anyway.
-      db_.user_batches_.fetch_add(1, std::memory_order_release);
-    }
-    util::Status Commit() {
-      util::Status status = inner_.Commit();
-      committed_ = status.ok();
-      return status;
-    }
-    // Destruction without Commit rolls the storage back (when this
-    // batch owns the transaction). A mid-batch text query may have
-    // indexed the batch's pages (RefreshIndex composes into the open
-    // transaction), so the searcher's watermark and cached corpus stats
-    // now cover rolled-back node ids; schedule their restore for the
-    // next RefreshIndex — it must run AFTER the rollback, which member
-    // destruction order puts after this body.
-    ~Batch() {
-      if (!committed_ && inner_.owns_transaction()) {
-        db_.ScheduleIndexRestore(watermark_);
-      }
-      db_.user_batches_.fetch_sub(1, std::memory_order_release);
-    }
-
-   private:
-    ProvenanceDb& db_;
-    util::RecursiveMutexLock lock_;
-    graph::NodeId watermark_;
-    bool committed_ = false;
-    ProvStore::IngestBatch inner_;
-  };
 
   // -------------------------------------------------- read snapshots
   //
@@ -330,32 +280,29 @@ class ProvenanceDb {
   // ingest pipeline first when drain_before_query is on, then
   // refreshing the text index, so the frozen view is fully searchable
   // and covers every event already IngestAsync'd).
-  // FailedPrecondition in journal mode (it rewrites the database file
-  // in place) and inside an open Batch (the index refresh would
-  // compose into the uncommitted batch, leaving the view silently
-  // unsearchable for not-yet-indexed committed pages).
+  // FailedPrecondition while a storage transaction opened through db()
+  // is open: the index refresh would compose into that uncommitted
+  // transaction, leaving the view silently unsearchable for
+  // not-yet-indexed committed pages. One-shot queries open their
+  // snapshot the same way, so they refuse in the same case.
   util::Result<SnapshotView> BeginSnapshot();
 
   // ------------------------------------------------------ durability
   //
   // Makes every commit so far durable without waiting for the group
-  // commit window to fill (-> Pager::SyncWal). No-op in journal mode,
-  // where every commit is already durable on return.
+  // commit window to fill (-> Pager::SyncWal).
   util::Status Sync();
   // Folds the write-ahead log into the database file now (->
   // Pager::Checkpoint). FailedPrecondition while snapshots are live (a
-  // deferred checkpoint re-arms automatically at the next commit);
-  // no-op in journal mode.
+  // deferred checkpoint re-arms automatically at the next commit).
   util::Status Checkpoint();
 
   // ------------------------------------------------------- queries
   //
   // One-shot: each call runs against a private snapshot opened for just
-  // that call (under WAL durability), so concurrent ingestion never
-  // tears a result. Two cases stay on the serialized live path:
-  // journal mode (no snapshots) and calls made inside an open Batch,
-  // which read the batch's own uncommitted events. Prefer BeginSnapshot
-  // when several queries must agree on one view or share its caches.
+  // that call, so concurrent ingestion never tears a result. Prefer
+  // BeginSnapshot when several queries must agree on one view or share
+  // its caches.
   //
   // Use case 2.1: provenance-aware contextual history search.
   util::Result<search::ContextualSearchResult> Search(
@@ -384,7 +331,7 @@ class ProvenanceDb {
   // hit/miss/eviction counts, resident pool bytes, WAL/fsync cost (see
   // storage::PagerStats). Cheap; safe from any thread.
   storage::PagerStats storage_stats() {
-    util::RecursiveMutexLock lock(mu_);
+    util::MutexLock lock(mu_);
     if (closed_.load(std::memory_order_acquire)) return final_stats_;
     return db_->pager().stats();
   }
@@ -421,79 +368,56 @@ class ProvenanceDb {
   static util::Status ClosedError() {
     return util::Status::FailedPrecondition("ProvenanceDb is closed");
   }
-  // Batch's constructor guard: using a closed database is a caller bug.
-  static ProvenanceDb& CheckOpenForBatch(ProvenanceDb& db) {
-    BP_REQUIRE(!db.closed_.load(std::memory_order_acquire),
-               "Batch on a closed ProvenanceDb");
-    return db;
-  }
-
-  // Re-indexes pages added since the last text-backed query, first
-  // undoing index state left behind by a rolled-back Batch.
+  // Re-indexes pages added since the last text-backed query.
   util::Status RefreshIndex() BP_REQUIRES(mu_);
-  // Called by ~Batch on rollback; mu_ is held (the Batch holds it —
-  // destructor bodies are outside the analysis, hence no caller check).
-  void ScheduleIndexRestore(graph::NodeId watermark) BP_REQUIRES(mu_) {
-    if (restore_watermark_ > watermark) restore_watermark_ = watermark;
-    index_stale_ = true;
-  }
+  // Publishes `events` to every sink in ONE ProvStore::IngestBatch —
+  // all-or-nothing: a sink or commit failure rolls the pager back. The
+  // unit of work of both IngestAll's chunks and the async committer.
+  util::Status PublishBatchLocked(
+      std::span<const capture::BrowserEvent> events) BP_REQUIRES(mu_);
   // BeginSnapshot body; mu_ must already be held. Graph-only one-shot
   // queries pass with_searcher=false to skip the text-index refresh
   // and the searcher bind (lineage never touches the text index).
+  // FailedPrecondition while a transaction opened through db() is
+  // open (see BeginSnapshot) — the one place that check lives.
   util::Result<SnapshotView> BeginSnapshotLocked(bool with_searcher)
       BP_REQUIRES(mu_);
-  // True when one-shot queries should run on a private snapshot: WAL
-  // durability and no open Batch (mid-batch queries keep the live,
-  // read-your-own-writes path).
-  bool UseSnapshotQueriesLocked() const BP_REQUIRES(mu_);
 
   // Read-your-writes for queries: drains the ingest pipeline so events
   // already IngestAsync'd are committed before the query opens its
-  // view. Skipped when async is off, drain_before_query is off, or a
-  // user Batch is open (see Batch's constructor). A drain failure is
-  // the committer's sticky error — it surfaces on the next
-  // IngestAsync/Flush; the query proceeds against what committed.
+  // view. Skipped when async is off or drain_before_query is off. A
+  // drain failure is the committer's sticky error — it surfaces on the
+  // next IngestAsync/Flush; the query proceeds against what committed.
   void MaybeDrainForQuery() {
-    if (pipeline_ == nullptr || !drain_before_query_ ||
-        user_batches_.load(std::memory_order_acquire) > 0) {
-      return;
-    }
+    if (pipeline_ == nullptr || !drain_before_query_) return;
     (void)pipeline_->Drain();
   }
 
-  // The one-shot dispatch every query method shares: after the
-  // read-your-writes drain (which must happen BEFORE the lock — the
-  // committer takes mu_ per batch), under the writer lock either open a
-  // private snapshot and run `on_view` against it UNLOCKED (the
-  // concurrent path), or run `on_live` while still holding the lock
-  // (journal mode / mid-batch). Both callables return the same Result
-  // type; on_live is responsible for RefreshIndex when the query is
-  // text-backed.
-  template <typename ViewFn, typename LiveFn>
-  auto OneShot(bool with_searcher, ViewFn&& on_view, LiveFn&& on_live)
-      -> decltype(on_live()) {
+  // The one-shot dispatch every query method shares: drain (BEFORE the
+  // lock — the committer takes mu_ per batch), lock, open a private
+  // snapshot, unlock, and run `on_view` against it concurrently with
+  // ingestion and other readers.
+  template <typename ViewFn>
+  auto OneShot(bool with_searcher, ViewFn&& on_view)
+      -> decltype(on_view(std::declval<SnapshotView&>())) {
     MaybeDrainForQuery();
-    util::RecursiveMutexLock lock(mu_);
+    util::MutexLock lock(mu_);
     if (closed_.load(std::memory_order_acquire)) return ClosedError();
-    if (UseSnapshotQueriesLocked()) {
-      auto view = BeginSnapshotLocked(with_searcher);
-      if (!view.ok()) return view.status();
-      lock.Unlock();
-      return on_view(*view);
-    }
-    return on_live();
+    util::Result<SnapshotView> view = BeginSnapshotLocked(with_searcher);
+    lock.Unlock();
+    if (!view.ok()) return view.status();
+    return on_view(*view);
   }
 
   // Serializes writers (ingestion, index refresh, snapshot creation,
-  // durability controls) against each other. Recursive because Batch
-  // holds it across user Ingest calls. Queries on an open SnapshotView
-  // never take it.
-  util::RecursiveMutex mu_;
+  // durability controls) against each other. Queries on an open
+  // SnapshotView never take it.
+  util::Mutex mu_;
 
   std::string path_;  // database path: the `db` label on exported samples
-  // Set by Close() (under mu_; atomic so lock-free entry points —
-  // IngestAsync, Batch's guard — can read it). Once true, every member
-  // below except final_stats_ may be null.
+  // Set by Close() (under mu_; atomic so lock-free entry points such as
+  // IngestAsync can read it). Once true, every member below except
+  // final_stats_ may be null.
   std::atomic<bool> closed_{false};
   // The last stats() before teardown; what storage_stats() reports
   // after Close.
@@ -509,9 +433,6 @@ class ProvenanceDb {
   // lane's backlog gate (see AsyncOptions::index_min_backlog).
   size_t stale_events_ BP_GUARDED_BY(mu_) = 0;
   size_t index_min_backlog_ = 1024;
-  // Watermark to rewind the searcher to before the next re-index
-  // (UINT64_MAX = nothing pending); set by rolled-back Batches.
-  graph::NodeId restore_watermark_ BP_GUARDED_BY(mu_) = UINT64_MAX;
 
   // --- async ingest pipeline ---------------------------------------
   // The committer-thread callbacks behind the pipeline: one storage
@@ -525,11 +446,11 @@ class ProvenanceDb {
   // fsync overlaps the committer's stream-0 group commit. Gated on
   // index_min_backlog_ events since the last refresh.
   util::Status MaintainIndex();
+  // Set while MaintainIndex waits for mu_; the committer yields to it
+  // (see CommitEventBatch).
+  std::atomic<bool> maintenance_waiting_{false};
 
   bool drain_before_query_ = true;
-  // Open user Batches (writer lock held by a user thread); > 0 makes
-  // MaybeDrainForQuery a no-op.
-  std::atomic<int> user_batches_{0};
   std::unique_ptr<capture::AsyncSink> async_sink_;
 
   // Observability: one bp_query_us histogram per query family (labels

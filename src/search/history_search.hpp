@@ -79,16 +79,6 @@ class HistorySearcher {
   // it can be called after every ingestion batch.
   util::Status IndexNewPages();
 
-  // Recovery hook for a caller whose transaction rolled back after an
-  // IndexNewPages composed into it: rewinds the watermark to what it
-  // was before that indexing and re-reads the (reverted) corpus stats,
-  // so pages whose node ids are reused later are not silently skipped.
-  NodeId indexed_watermark() const { return indexed_watermark_; }
-  util::Status RestoreIndexState(NodeId watermark) {
-    indexed_watermark_ = watermark;
-    return index_->ReloadStats();
-  }
-
   // Baseline: BM25 only. Returns pages ranked by text_score.
   util::Result<ContextualSearchResult> TextualSearch(
       const std::string& query, size_t k);

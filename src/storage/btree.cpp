@@ -113,9 +113,10 @@ struct InteriorCell {
   size_t size = 0;
 };
 
-// The page is trusted (we wrote it); corruption manifests as BP_CHECK
-// failures rather than Status because it indicates an engine bug or
-// on-disk damage past the checksummed journal.
+// The cell bytes are trusted (we wrote them); a malformed cell manifests
+// as a BP_CHECK failure rather than Status because it indicates an
+// engine bug or on-disk damage. Out-of-range page ids are caught one
+// layer down: the pager and the snapshot read path return Corruption.
 LeafCell ParseLeafCell(std::string_view bytes) {
   Reader r(bytes);
   LeafCell cell;

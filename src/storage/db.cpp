@@ -29,7 +29,6 @@ Result<std::unique_ptr<Db>> Db::Open(const std::string& path,
   popts.env = options.env;
   popts.cache_pages = options.cache_pages;
   popts.sync = options.sync;
-  popts.durability = options.durability;
   popts.wal_group_commit = options.wal_group_commit;
   popts.wal_checkpoint_bytes = options.wal_checkpoint_bytes;
   popts.write_domains = options.write_domains;

@@ -16,21 +16,27 @@
 
 namespace bp::storage {
 
+// Kept as a one-value enum for DbOptions::durability (see there).
+enum class DurabilityMode { kWal };
+
 struct DbOptions {
   Env* env = Env::Posix();
   size_t cache_pages = 4096;
   bool sync = true;
-  // See PagerOptions: kWal + wal_group_commit > 1 amortizes fsyncs
-  // across bursts of small transactions (batched provenance ingest).
-  DurabilityMode durability = DurabilityMode::kRollbackJournal;
+  // Read by nothing: the write-ahead log is the only durability mode.
+  // The field stays only so callers that still set it (the perfbench
+  // harness) keep compiling.
+  DurabilityMode durability = DurabilityMode::kWal;
+  // See PagerOptions: wal_group_commit > 1 amortizes fsyncs across
+  // bursts of small transactions (batched provenance ingest).
   uint32_t wal_group_commit = 1;
   uint64_t wal_checkpoint_bytes = 4 << 20;
-  // Partitioned write domains (WAL mode; see PagerOptions): each domain
+  // Partitioned write domains (see PagerOptions): each domain
   // owns its own log stream and group-commit clock, so committers on
   // different domains overlap their fsyncs. 1 = the single-stream
   // layout; clamped to [1, kMaxWriteDomains].
   uint32_t write_domains = 1;
-  // Versioned buffer pool shared by the whole read path (WAL mode; see
+  // Versioned buffer pool shared by the whole read path (see
   // PagerOptions). pool_bytes = 0 disables it; buffer_pool (when set)
   // joins an existing pool so several databases share one byte budget.
   size_t pool_bytes = 32 << 20;
@@ -61,8 +67,8 @@ struct SpaceReport {
 
 class Db {
  public:
-  // Opens or creates the database at `path`, recovering from a crashed
-  // commit if a hot journal is present.
+  // Opens or creates the database at `path`, replaying any write-ahead
+  // log a crash left behind.
   static util::Result<std::unique_ptr<Db>> Open(const std::string& path,
                                                 DbOptions options = {});
 
@@ -86,8 +92,8 @@ class Db {
   util::Status Rollback() { return pager_->Rollback(); }
 
   // Read transaction: an immutable view of the committed state, safe to
-  // read from other threads while this Db keeps writing (WAL mode only;
-  // see Pager::BeginRead). Bind tree handles to it with BTree::BoundAt.
+  // read from other threads while this Db keeps writing (see
+  // Pager::BeginRead). Bind tree handles to it with BTree::BoundAt.
   util::Result<std::unique_ptr<Snapshot>> BeginRead() {
     return pager_->BeginRead();
   }

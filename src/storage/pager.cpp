@@ -5,7 +5,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "storage/snapshot.hpp"
-#include "util/hash.hpp"
 #include "util/require.hpp"
 #include "util/serde.hpp"
 #include "util/strings.hpp"
@@ -74,16 +73,19 @@ Pager::Pager(std::string path, PagerOptions options)
 Result<std::unique_ptr<Pager>> Pager::Open(std::string path,
                                            PagerOptions options) {
   std::unique_ptr<Pager> pager(new Pager(std::move(path), options));
+  // A rollback journal left by an earlier build's crashed commit means
+  // the database file may be half-written, and only that build could
+  // roll it back. Refuse before touching anything.
+  const std::string journal = pager->path_ + ".journal";
+  if (options.env->Exists(journal)) {
+    return Status::FailedPrecondition("hot rollback journal left by an "
+                                      "earlier build (cannot roll it back): " +
+                                      journal);
+  }
   BP_ASSIGN_OR_RETURN(pager->file_, options.env->Open(pager->path_));
 
-  // Recovery runs regardless of the requested durability mode, so a
-  // database left behind by a crash in EITHER mode opens correctly: a
-  // hot journal from a crashed journal-mode commit is rolled back, then
-  // the mutually consistent committed prefix of any surviving write-
-  // ahead log streams is replayed. (The two files never coexist in
-  // practice — each mode retires its own log — but recovering both is
-  // cheap and makes mode switches safe.)
-  BP_RETURN_IF_ERROR(pager->RecoverFromJournal());
+  // Replay the mutually consistent committed prefix of any write-ahead
+  // log streams a crash left behind.
   BP_RETURN_IF_ERROR(pager->RecoverFromWal());
 
   BP_ASSIGN_OR_RETURN(uint64_t size, pager->file_->Size());
@@ -111,31 +113,25 @@ Result<std::unique_ptr<Pager>> Pager::Open(std::string path,
   }
   pager->main_file_pages_ = pager->page_count_;
 
-  if (pager->options_.durability == DurabilityMode::kWal) {
-    pager->write_domains_ = std::clamp<uint32_t>(
-        pager->options_.write_domains, 1, kMaxWriteDomains);
-    for (uint32_t d = 0; d < pager->write_domains_; ++d) {
-      BP_ASSIGN_OR_RETURN(
-          pager->domains_[d].wal,
-          wal::WalWriter::Open(options.env, pager->WalPath(d), d,
-                               pager->commit_seq_));
-      pager->domains_[d].last_commit_seq = pager->commit_seq_;
-    }
-    // The shared versioned buffer pool serves the whole read path in
-    // WAL mode. Journal mode gets none: it rewrites main-file pages in
-    // place at every commit, which would stale main-file image keys
-    // mid-generation (and it has no snapshots to serve anyway).
-    if (options.buffer_pool != nullptr) {
-      pager->pool_ = options.buffer_pool;
-    } else if (options.pool_bytes > 0) {
-      // The pager's compression options drive the pool's cold tier too
-      // (an injected shared pool keeps whatever its creator chose).
-      pager->pool_ = std::make_shared<BufferPool>(options.pool_bytes,
-                                                  options.compression);
-    }
-    if (pager->pool_ != nullptr) {
-      pager->pool_owner_ = BufferPool::NextOwnerId();
-    }
+  pager->write_domains_ = std::clamp<uint32_t>(pager->options_.write_domains,
+                                               1, kMaxWriteDomains);
+  for (uint32_t d = 0; d < pager->write_domains_; ++d) {
+    BP_ASSIGN_OR_RETURN(pager->domains_[d].wal,
+                        wal::WalWriter::Open(options.env, pager->WalPath(d),
+                                             d, pager->commit_seq_));
+    pager->domains_[d].last_commit_seq = pager->commit_seq_;
+  }
+  // The shared versioned buffer pool serves the whole read path.
+  if (options.buffer_pool != nullptr) {
+    pager->pool_ = options.buffer_pool;
+  } else if (options.pool_bytes > 0) {
+    // The pager's compression options drive the pool's cold tier too
+    // (an injected shared pool keeps whatever its creator chose).
+    pager->pool_ = std::make_shared<BufferPool>(options.pool_bytes,
+                                                options.compression);
+  }
+  if (pager->pool_ != nullptr) {
+    pager->pool_owner_ = BufferPool::NextOwnerId();
   }
   pager->PublishCommittedState();
 
@@ -147,7 +143,7 @@ Result<std::unique_ptr<Pager>> Pager::Open(std::string path,
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   pager->commit_latency_us_ = reg.GetHistogram(
       "bp_commit_us", "",
-      "End-to-end Pager::Commit latency (us), both durability modes");
+      "End-to-end Pager::Commit latency (us)");
   pager->fsync_latency_us_ = reg.GetHistogram(
       "bp_wal_fsync_us", "", "WAL log fsync latency (us)");
   pager->group_commit_txns_ = reg.GetHistogram(
@@ -177,11 +173,12 @@ Pager::~Pager() {
   BP_CHECK(live_snapshots() == 0,
            "all snapshots must be released before the pager closes");
   if (in_txn_) (void)Rollback();
-  if (wal_mode()) {
-    // Clean close: make every commit durable, fold ALL streams into the
-    // database file, and retire them. The streams are only removed when
-    // the fold fully succeeded; on failure they stay behind as the sole
-    // copy of the committed pages, and the next Open replays them.
+  // Clean close: make every commit durable, fold ALL streams into the
+  // database file, and retire them. The streams are only removed when
+  // the fold fully succeeded; on failure they stay behind as the sole
+  // copy of the committed pages, and the next Open replays them. A
+  // pager whose Open failed before its streams existed has none.
+  if (domains_[0].wal != nullptr) {
     bool folded = Checkpoint().ok();  // Checkpoint syncs the logs first
     for (auto& dom : domains_) dom.wal.reset();
     if (folded) {
@@ -266,68 +263,6 @@ Status Pager::WriteHeaderToFrame() {
   std::string bytes = SerializedHeader();
   std::copy(bytes.begin(), bytes.end(), ref.mutable_data());
   return Status::Ok();
-}
-
-// Journal layout:
-//   header: magic u32, commit_seq u64, page_size u32, orig_page_count u32,
-//           entry_count u32
-//   entry:  page_id u32, page bytes [kPageSize], fnv1a64 checksum u64
-Status Pager::RecoverFromJournal() {
-  const std::string jpath = JournalPath();
-  if (!options_.env->Exists(jpath)) return Status::Ok();
-
-  BP_ASSIGN_OR_RETURN(std::unique_ptr<File> jf, options_.env->Open(jpath));
-  BP_ASSIGN_OR_RETURN(uint64_t jsize, jf->Size());
-
-  constexpr size_t kHeaderBytes = 4 + 8 + 4 + 4 + 4;
-  constexpr size_t kEntryBytes = 4 + kPageSize + 8;
-
-  bool valid = jsize >= kHeaderBytes;
-  uint32_t orig_page_count = 0;
-  uint32_t entry_count = 0;
-  std::string raw;
-  if (valid) {
-    BP_RETURN_IF_ERROR(jf->Read(0, jsize, &raw));
-    Reader r(raw);
-    uint32_t magic = r.ReadU32();
-    r.ReadU64();  // commit_seq (informational)
-    uint32_t page_size = r.ReadU32();
-    orig_page_count = r.ReadU32();
-    entry_count = r.ReadU32();
-    valid = r.ok() && magic == kJournalMagic && page_size == kPageSize &&
-            jsize >= kHeaderBytes + uint64_t{entry_count} * kEntryBytes;
-  }
-
-  if (valid && entry_count > 0) {
-    // The journal was fully written (entries checksum below), which means
-    // the crash happened while writing the database file: roll back.
-    Reader r(raw);
-    r.Skip(kHeaderBytes);
-    for (uint32_t i = 0; i < entry_count && valid; ++i) {
-      uint32_t page_id = r.ReadU32();
-      std::string_view data = r.ReadRaw(kPageSize);
-      uint64_t checksum = r.ReadU64();
-      if (!r.ok() || util::Fnv1a64(data) != checksum) {
-        valid = false;
-        break;
-      }
-      BP_RETURN_IF_ERROR(
-          file_->Write(uint64_t{page_id} * kPageSize, data));
-    }
-    if (valid) {
-      BP_RETURN_IF_ERROR(
-          file_->Truncate(uint64_t{orig_page_count} * kPageSize));
-      if (options_.sync) {
-        BP_RETURN_IF_ERROR(file_->Sync());
-        ++stats_.sync.fsyncs;
-        stats_.sync.bytes_synced += uint64_t{entry_count} * kPageSize;
-      }
-    }
-  }
-  // Whether replayed or found incomplete (crash before the journal fsync,
-  // database untouched), the journal is now obsolete.
-  jf.reset();
-  return options_.env->Remove(jpath);
 }
 
 Status Pager::RecoverFromWal() {
@@ -420,7 +355,6 @@ Status Pager::SyncDomainLocked(WalDomain& dom) {
 }
 
 Status Pager::SyncWal() {
-  if (!wal_mode()) return Status::Ok();
   // Ack barrier: ALL domains, ascending id (see the lock-order note in
   // the header) — an acked commit needs every earlier merged sequence
   // durable too, and those may live on any stream.
@@ -437,7 +371,6 @@ Status Pager::SyncWal() {
 
 Status Pager::SyncWalDomain(WriteDomain domain) {
   BP_REQUIRE(domain < kMaxWriteDomains, "invalid write domain");
-  if (!wal_mode()) return Status::Ok();
   if (domain == 0) {
     util::MutexLock lock(domains_[0].mu);
     return SyncDomainLocked(domains_[0]);
@@ -447,7 +380,7 @@ Status Pager::SyncWalDomain(WriteDomain domain) {
 }
 
 Result<bool> Pager::FlushPending() {
-  if (!wal_mode() || unsynced_commits() == 0) return false;
+  if (unsynced_commits() == 0) return false;
   BP_RETURN_IF_ERROR(SyncWal());
   return true;
 }
@@ -466,7 +399,6 @@ uint32_t Pager::unsynced_commits(WriteDomain domain) const {
 }
 
 Status Pager::Checkpoint() {
-  BP_REQUIRE(wal_mode(), "Checkpoint requires WAL durability mode");
   if (in_txn_) {
     return Status::FailedPrecondition(
         "Checkpoint during an open transaction");
@@ -532,7 +464,7 @@ Status Pager::Checkpoint() {
 }
 
 Status Pager::MaybeCheckpoint() {
-  if (!wal_mode() || in_txn_ || live_snapshots() > 0) {
+  if (in_txn_ || live_snapshots() > 0) {
     // Deferred while snapshots are live; retried at the next commit.
     return Status::Ok();
   }
@@ -589,11 +521,6 @@ void Pager::PublishCommitDelta(
 }
 
 util::Result<std::unique_ptr<Snapshot>> Pager::BeginRead() {
-  if (!wal_mode()) {
-    return Status::FailedPrecondition(
-        "BeginRead requires WAL durability mode (journal mode rewrites "
-        "the database file in place at every commit)");
-  }
   util::MutexLock lock(commit_mu_);
   std::unique_ptr<Snapshot> snap(new Snapshot());
   snap->pager_ = this;
@@ -631,10 +558,8 @@ Status Pager::Begin(WriteDomain domain) {
   BP_REQUIRE(!in_txn_, "nested transactions are not supported");
   in_txn_ = true;
   // Clamp instead of reject: a caller built for 2 domains keeps working
-  // against a 1-domain (or journal-mode) pager, it just shares the
-  // stream.
-  txn_domain_ =
-      wal_mode() ? std::min(domain, write_domains_ - 1) : kGraphDomain;
+  // against a 1-domain pager, it just shares the stream.
+  txn_domain_ = std::min(domain, write_domains_ - 1);
   before_images_.clear();
   fresh_pages_.clear();
   txn_orig_page_count_ = page_count_;
@@ -661,12 +586,7 @@ Status Pager::Commit() {
               return a->id < b->id;
             });
 
-  if (options_.durability == DurabilityMode::kWal) {
-    BP_RETURN_IF_ERROR(CommitViaWal(dirty));
-  } else {
-    BP_RETURN_IF_ERROR(CommitViaJournal(dirty));
-    main_file_pages_ = page_count_;
-  }
+  BP_RETURN_IF_ERROR(CommitViaWal(dirty));
 
   for (internal::Frame* frame : dirty) frame->dirty = false;
   before_images_.clear();
@@ -678,9 +598,7 @@ Status Pager::Commit() {
   // Make the new commit visible to BeginRead: the log write above
   // happens-before the publication, so a snapshot that observes this
   // commit_seq can read every frame slot its index names.
-  if (options_.durability == DurabilityMode::kWal) {
-    PublishCommitDelta(last_commit_offsets_);
-  }
+  PublishCommitDelta(last_commit_offsets_);
 
   // Group commit: the transaction is fully retired above BEFORE the
   // fsync is attempted, because once its commit frame is in the log it
@@ -696,69 +614,11 @@ Status Pager::Commit() {
   // durability go through SyncWal/FlushPending, which sync all
   // domains so no earlier merged sequence can be lost under an acked
   // one.
-  if (options_.durability == DurabilityMode::kWal &&
-      unsynced_commits(txn_domain_) >= options_.wal_group_commit) {
+  if (unsynced_commits(txn_domain_) >= options_.wal_group_commit) {
     BP_RETURN_IF_ERROR(SyncWalDomain(txn_domain_));
   }
   // Fold the logs into the main file if they crossed the size threshold.
   return MaybeCheckpoint();
-}
-
-Status Pager::CommitViaJournal(const std::vector<internal::Frame*>& dirty) {
-  // Phase 1: persist before-images so a mid-write crash can be undone.
-  if (!before_images_.empty()) {
-    Writer w;
-    w.PutU32(kJournalMagic);
-    w.PutU64(commit_seq_ + 1);
-    w.PutU32(kPageSize);
-    w.PutU32(txn_orig_page_count_);
-    w.PutU32(static_cast<uint32_t>(before_images_.size()));
-    for (const auto& [id, image] : before_images_) {
-      w.PutU32(id);
-      w.PutRaw(image);
-      w.PutU64(util::Fnv1a64(image));
-    }
-    BP_ASSIGN_OR_RETURN(std::unique_ptr<File> jf,
-                        options_.env->Open(JournalPath()));
-    BP_RETURN_IF_ERROR(jf->Truncate(0));
-    BP_RETURN_IF_ERROR(jf->Write(0, w.data()));
-    if (options_.sync) {
-      BP_RETURN_IF_ERROR(jf->Sync());
-      ++stats_.sync.fsyncs;
-      stats_.sync.bytes_synced += w.size();
-    }
-  }
-
-  if (crash_after_journal_) {
-    // Simulated power loss: leave the hot journal and the (possibly
-    // partially updated) database file exactly as they are.
-    return Status::Aborted("simulated crash after journal sync");
-  }
-
-  // Phase 2: write dirty pages into the database file.
-  ++commit_seq_;
-  for (internal::Frame* frame : dirty) {
-    if (frame->id == 0) {
-      // Refresh the header bytes with the final committed field values
-      // (mid-transaction WriteHeaderToFrame calls capture intermediates).
-      std::string header = SerializedHeader();
-      std::copy(header.begin(), header.end(), frame->data.data());
-    }
-    BP_RETURN_IF_ERROR(
-        file_->Write(uint64_t{frame->id} * kPageSize, frame->data));
-    stats_.pages_written.Inc();
-  }
-  if (options_.sync) {
-    BP_RETURN_IF_ERROR(file_->Sync());
-    ++stats_.sync.fsyncs;
-    stats_.sync.bytes_synced += dirty.size() * uint64_t{kPageSize};
-  }
-
-  // Phase 3: the commit is durable; retire the journal.
-  if (!before_images_.empty()) {
-    BP_RETURN_IF_ERROR(options_.env->Remove(JournalPath()));
-  }
-  return Status::Ok();
 }
 
 Status Pager::CommitViaWal(const std::vector<internal::Frame*>& dirty) {
@@ -857,8 +717,12 @@ Status Pager::Rollback() {
 }
 
 Result<internal::Frame*> Pager::FetchFrame(PageId id) {
-  BP_REQUIRE(id < page_count_, util::StrFormat("page %u out of range (%u)",
-                                               id, page_count_));
+  // Ids come from on-disk child/sibling pointers, so an out-of-range one
+  // is damage to report, not a caller bug to throw on.
+  if (id >= page_count_) {
+    return Status::Corruption(util::StrFormat(
+        "page %u out of range (%u): %s", id, page_count_, path_.c_str()));
+  }
   auto it = frames_.find(id);
   if (it != frames_.end()) {
     stats_.cache_hits.Inc();
@@ -931,13 +795,13 @@ Result<PageRef> Pager::Get(PageId id) {
 Result<PageRef> Pager::GetMutable(PageId id) {
   BP_REQUIRE(in_txn_, "mutation outside a transaction");
   BP_ASSIGN_OR_RETURN(internal::Frame * frame, FetchFrame(id));
-  JournalBeforeImage(*frame);
+  SaveBeforeImage(*frame);
   frame->dirty = true;
   ++change_count_;
   return PageRef(this, frame, /*writable=*/true);
 }
 
-void Pager::JournalBeforeImage(internal::Frame& frame) {
+void Pager::SaveBeforeImage(internal::Frame& frame) {
   if (fresh_pages_.count(frame.id) > 0 ||
       before_images_.count(frame.id) > 0) {
     return;
@@ -1067,7 +931,7 @@ uint64_t Pager::OnDiskPageBytes(PageId id) const {
 }
 
 bool Pager::CommittedImageKey(PageId id, PageImageKey* key) const {
-  if (pool_ == nullptr) return false;  // also covers journal mode
+  if (pool_ == nullptr) return false;
   key->owner = pool_owner_;
   key->id = id;
   if (auto it = wal_index_.find(id); it != wal_index_.end()) {
@@ -1170,7 +1034,7 @@ void Pager::CollectMetrics(obs::CollectionSink& sink) const {
   };
   counter("bp_pager_commits", "Committed transactions", s.commits);
   counter("bp_pager_rollbacks", "Rolled-back transactions", s.rollbacks);
-  counter("bp_pager_pages_written", "Pages written (journal or WAL)",
+  counter("bp_pager_pages_written", "Pages appended to the WAL",
           s.pages_written);
   counter("bp_pager_pages_read", "Pages fetched from log/database file",
           s.pages_read);
@@ -1231,34 +1095,32 @@ void Pager::CollectMetrics(obs::CollectionSink& sink) const {
     gauge("bp_pool_cold_frames", "Resident cold-tier frames",
           s.pool_cold_frames);
   }
-  if (wal_mode()) {
-    for (uint32_t d = 0; d < write_domains_; ++d) {
-      const DomainStats ds = domain_stats(d);
-      const std::string dlabels =
-          "db=\"" + path_ + "\",domain=\"" + std::to_string(d) + "\"";
-      auto dcounter = [&](const char* name, const char* help, uint64_t v) {
-        sink.Counter(name, dlabels, help, static_cast<double>(v));
-      };
-      dcounter("bp_pager_domain_commits",
-               "Transactions committed to this domain's WAL stream",
-               ds.commits);
-      dcounter("bp_pager_domain_wal_frames",
-               "Page images appended to this domain's WAL stream",
-               ds.wal_frames);
-      dcounter("bp_pager_domain_wal_bytes",
-               "Committed bytes in this domain's WAL stream", ds.wal_bytes);
-      dcounter("bp_pager_domain_fsyncs",
-               "fsyncs issued on this domain's WAL stream", ds.fsyncs);
-      dcounter("bp_pager_domain_bytes_synced",
-               "Bytes made durable on this domain's WAL stream",
-               ds.bytes_synced);
-      dcounter("bp_pager_domain_group_commits",
-               "Group-commit windows closed on this domain's WAL stream",
-               ds.group_commits);
-      sink.Gauge("bp_pager_domain_last_commit_seq", dlabels,
-                 "Newest merged commit sequence on this domain's stream",
-                 static_cast<double>(ds.last_commit_seq));
-    }
+  for (uint32_t d = 0; d < write_domains_; ++d) {
+    const DomainStats ds = domain_stats(d);
+    const std::string dlabels =
+        "db=\"" + path_ + "\",domain=\"" + std::to_string(d) + "\"";
+    auto dcounter = [&](const char* name, const char* help, uint64_t v) {
+      sink.Counter(name, dlabels, help, static_cast<double>(v));
+    };
+    dcounter("bp_pager_domain_commits",
+             "Transactions committed to this domain's WAL stream",
+             ds.commits);
+    dcounter("bp_pager_domain_wal_frames",
+             "Page images appended to this domain's WAL stream",
+             ds.wal_frames);
+    dcounter("bp_pager_domain_wal_bytes",
+             "Committed bytes in this domain's WAL stream", ds.wal_bytes);
+    dcounter("bp_pager_domain_fsyncs",
+             "fsyncs issued on this domain's WAL stream", ds.fsyncs);
+    dcounter("bp_pager_domain_bytes_synced",
+             "Bytes made durable on this domain's WAL stream",
+             ds.bytes_synced);
+    dcounter("bp_pager_domain_group_commits",
+             "Group-commit windows closed on this domain's WAL stream",
+             ds.group_commits);
+    sink.Gauge("bp_pager_domain_last_commit_seq", dlabels,
+               "Newest merged commit sequence on this domain's stream",
+               static_cast<double>(ds.last_commit_seq));
   }
 }
 

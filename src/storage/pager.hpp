@@ -4,20 +4,12 @@
 // header (magic, page count, freelist, catalog root). All reads and
 // writes go through pinned page references; mutations are transactional.
 //
-// Two durability modes (PagerOptions::durability):
-//
-// kRollbackJournal (SQLite journal mode; 2 fsyncs per commit):
+// Durability is a write-ahead log (1 fsync per commit, or per GROUP of
+// commits):
 //   1. During a transaction, dirty pages live only in the cache; the
-//      first mutation of each pre-existing page captures its before-image.
-//   2. Commit: write all before-images to <path>.journal, fsync it, then
-//      write the dirty pages to the database file, fsync it, then remove
-//      the journal. A crash before the journal fsync leaves the database
-//      untouched; a crash after it is rolled back on the next Open by
-//      replaying before-images and truncating to the journaled page count.
-//   3. Rollback: restore before-images in cache; nothing reached the file.
-//
-// kWal (write-ahead log; 1 fsync per commit, or per GROUP of commits):
-//   1. Commit appends the dirty pages plus a commit record to the log
+//      first mutation of each pre-existing page captures its before-
+//      image, so Rollback restores the cache without touching any file.
+//   2. Commit appends the dirty pages plus a commit record to the log
 //      stream of the transaction's WRITE DOMAIN (see below) in one
 //      sequential write (see wal/wal_format.hpp) and fsyncs that
 //      stream — the database file is not touched at all. With
@@ -26,10 +18,10 @@
 //      crash may lose the tail of not-yet-synced transactions but
 //      always recovers a consistent committed prefix (each transaction
 //      stays atomic).
-//   2. Reads hit the page cache; on a miss the latest committed version
+//   3. Reads hit the page cache; on a miss the latest committed version
 //      is fetched from the owning log stream (wal_index_) or, failing
 //      that, the database file.
-//   3. A checkpoint — when the logs cross wal_checkpoint_bytes in
+//   4. A checkpoint — when the logs cross wal_checkpoint_bytes in
 //      total, and at clean close — folds the latest committed pages of
 //      EVERY stream back into the database file in merged commit-
 //      sequence order, fsyncs it, and truncates the logs. Pager::Open
@@ -37,7 +29,12 @@
 //      crash and intersects them to the highest mutually consistent
 //      merged sequence (see wal/checkpointer.hpp).
 //
-// WRITE DOMAINS (kWal only): the write path is partitioned into up to
+// Earlier builds also offered a rollback-journal mode. Nothing rolls
+// back the <path>.journal such a build may leave behind after a crash,
+// so Open refuses (FailedPrecondition) while that file exists instead
+// of silently opening a half-written database.
+//
+// WRITE DOMAINS: the write path is partitioned into up to
 // kMaxWriteDomains domains — kGraphDomain (graph/prov/places B-trees)
 // and kTextDomain (the lazily-refreshed text index) — each owning its
 // own WAL stream, group-commit window, and fsync clock. Transactions
@@ -51,13 +48,6 @@
 // commit sequences (Snapshot::domain_commit_seq) alongside the merged
 // one.
 //
-// Pick kRollbackJournal for read-mostly workloads with rare, large
-// transactions; pick kWal for sustained bursty ingest (the browser
-// provenance capture path), where commit latency is dominated by fsync
-// count and group commit amortizes it. Either mode recovers a database
-// left behind by the other (Open runs both recoveries), so the mode is
-// a per-open choice, not a file-format commitment.
-//
 // Concurrency model: single writer, snapshot readers. Every mutating
 // entry point (Begin/Commit/Rollback, GetMutable, Allocate, Free,
 // Checkpoint) and the live read path (Get) belong to ONE writer thread
@@ -66,8 +56,8 @@
 // from a non-writer thread — each stream's fsync state is serialized by
 // its domain mutex, and the WalWriter publishes committed bytes
 // atomically (see wal/wal_writer.hpp). Concurrent reads go through
-// BeginRead() (kWal only), which returns a Snapshot — an immutable view
-// of the committed state at a commit sequence number (see
+// BeginRead(), which returns a Snapshot — an immutable view of the
+// committed state at a commit sequence number (see
 // storage/snapshot.hpp). Snapshots are safe against a concurrently
 // committing writer: commits only append to the logs, and checkpointing
 // (the one operation that rewrites bytes a snapshot may still need) is
@@ -108,14 +98,9 @@ class WalWriter;
 
 namespace bp::storage {
 
-enum class DurabilityMode {
-  kRollbackJournal,  // before-images to <path>.journal; 2 fsyncs/commit
-  kWal,              // redo log to <path>.wal[N]; <= 1 fsync/commit
-};
-
-// A write domain names the WAL stream a transaction commits to (kWal
-// only; see the file header). Domain 0 is the default for every
-// transaction that does not ask otherwise.
+// A write domain names the WAL stream a transaction commits to (see the
+// file header). Domain 0 is the default for every transaction that does
+// not ask otherwise.
 using WriteDomain = uint32_t;
 inline constexpr WriteDomain kGraphDomain = 0;  // graph/prov/places
 inline constexpr WriteDomain kTextDomain = 1;   // inverted text index
@@ -141,22 +126,20 @@ struct PagerOptions {
   size_t cache_pages = 4096;
   // When false, skips fsync (faster tests/benches; crash safety off).
   bool sync = true;
-  DurabilityMode durability = DurabilityMode::kRollbackJournal;
-  // kWal only: CEILING on the number of committed transactions that
-  // share one log fsync, per domain stream. 1 = every commit is durable
+  // CEILING on the number of committed transactions that share one
+  // log fsync, per domain stream. 1 = every commit is durable
   // on return; N > 1 trades a bounded durability lag (never
   // consistency) for up to N× fewer fsyncs. Commit fsyncs when the
   // window fills; a caller that knows the write stream went idle closes
   // a partial window early with FlushPending() (the async ingest
   // committer's adaptive group commit).
   uint32_t wal_group_commit = 1;
-  // kWal only: checkpoint (fold all log streams into the database file)
-  // once the streams exceed this size in total.
+  // Checkpoint (fold all log streams into the database file) once the
+  // streams exceed this size in total.
   uint64_t wal_checkpoint_bytes = 4 << 20;
-  // kWal only: number of write domains (clamped to
-  // [1, kMaxWriteDomains]). 1 keeps the classic single-stream layout;
-  // 2 gives the text index its own stream so index-maintenance fsyncs
-  // overlap ingest fsyncs. Journal mode always behaves as 1.
+  // Number of write domains (clamped to [1, kMaxWriteDomains]). 1
+  // keeps the classic single-stream layout; 2 gives the text index its
+  // own stream so index-maintenance fsyncs overlap ingest fsyncs.
   uint32_t write_domains = 1;
   // Byte budget of the versioned buffer pool the read path shares (all
   // snapshots + the live pager; see storage/buffer_pool.hpp). Replaces
@@ -168,8 +151,8 @@ struct PagerOptions {
   // sharing one global byte budget) instead of creating its own from
   // pool_bytes. Keys carry a per-pager owner id, so pagers never alias.
   std::shared_ptr<BufferPool> buffer_pool;
-  // kWal only: publish each commit's page images into the pool as they
-  // are logged, so reader misses on hot, freshly written pages (tree
+  // Publish each commit's page images into the pool as they are
+  // logged, so reader misses on hot, freshly written pages (tree
   // roots, the catalog) disappear. Costs one page copy per dirty page
   // per commit; turn off for write-only workloads.
   bool pool_publish_on_commit = true;
@@ -200,12 +183,10 @@ struct PagerStats {
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t evictions = 0;
-  // Durability cost, counted in BOTH durability modes: fsync calls
-  // issued, and the bytes each fsync made durable (0 when sync=false —
-  // nothing is made durable).
+  // Durability cost: fsync calls issued, and the bytes each fsync made
+  // durable (0 when sync=false — nothing is made durable).
   uint64_t fsyncs = 0;
   uint64_t bytes_synced = 0;
-  // kWal only.
   uint64_t wal_frames = 0;   // page images appended to the logs
   uint64_t checkpoints = 0;  // threshold + close-time folds
   // Group-commit windows closed (each retired >= 1 committed txn): by
@@ -254,7 +235,7 @@ struct PagerStats {
   uint64_t snapshot_pool_hits = 0;
 };
 
-// Per-write-domain counters (kWal only; all zero for inactive domains).
+// Per-write-domain counters (all zero for inactive domains).
 struct DomainStats {
   uint64_t commits = 0;          // transactions committed to this stream
   uint64_t wal_frames = 0;       // page images appended to this stream
@@ -318,9 +299,9 @@ class Pager {
 
   // --- transactions -------------------------------------------------
   // `domain` routes the transaction's commit to that domain's WAL
-  // stream (clamped to the configured write_domains; journal mode
-  // ignores it). The domain changes which stream pays the fsync, never
-  // what the transaction may touch: all domains share one page space.
+  // stream (clamped to the configured write_domains). The domain
+  // changes which stream pays the fsync, never what the transaction
+  // may touch: all domains share one page space.
   util::Status Begin(WriteDomain domain = kGraphDomain);
   util::Status Commit();
   util::Status Rollback();
@@ -348,11 +329,11 @@ class Pager {
   // fields — one coherent set for benches and facade reporting.
   PagerStats stats() const BP_EXCLUDES(commit_mu_);
 
-  // Per-domain counters (all zero for inactive domains / journal mode).
+  // Per-domain counters (all zero for inactive domains).
   // Thread-safe.
   DomainStats domain_stats(WriteDomain domain) const;
 
-  // Number of active write domains (1 in journal mode).
+  // Number of active write domains.
   uint32_t write_domains() const { return write_domains_; }
 
   // The shared versioned buffer pool (null when pool_bytes was 0 and no
@@ -378,22 +359,15 @@ class Pager {
   // not yet folded). Writer thread only (peeks the main file).
   uint64_t OnDiskPageBytes(PageId id) const;
 
-  // Test hook: when set, Commit() stops right after the journal fsync and
-  // returns Aborted — simulating a crash between journal and database
-  // writes. The next Open() must recover.
-  void set_crash_after_journal_for_testing(bool v) {
-    crash_after_journal_ = v;
-  }
-
-  // kWal only: makes every commit on EVERY domain stream durable
+  // Makes every commit on EVERY domain stream durable
   // (flushes partially filled group-commit windows). This is the
   // acknowledgment barrier: an acked commit requires every EARLIER
   // merged sequence durable too — recovery truncates at the first gap —
-  // so ack paths always sync all domains. No-op in journal mode or when
-  // nothing is pending. Safe from a non-writer thread.
+  // so ack paths always sync all domains. No-op when nothing is
+  // pending. Safe from a non-writer thread.
   util::Status SyncWal();
 
-  // kWal only: makes commits on ONE domain stream durable. This is the
+  // Makes commits on ONE domain stream durable. This is the
   // non-ack window sync (the index-maintenance lane flushing its own
   // stream); it must not be used to acknowledge durability to a caller
   // — see SyncWal. Safe from a non-writer thread.
@@ -404,24 +378,21 @@ class Pager {
   // so. The async ingest committer calls this whenever its queue runs
   // dry, which collapses tail latency at low event rates while the
   // wal_group_commit ceiling still amortizes fsyncs under load. Returns
-  // whether a flush ran (false: journal mode or nothing pending).
+  // whether a flush ran (false: nothing pending).
   // Syncs ALL domains (it is an ack path, like SyncWal).
   util::Result<bool> FlushPending();
 
   // Committed transactions whose log records await the next fsync,
-  // totaled across domains (always 0 in journal mode, where every
-  // commit is durable on return). Thread-safe.
+  // totaled across domains. Thread-safe.
   uint32_t unsynced_commits() const;
   // Same, for one domain. Thread-safe.
   uint32_t unsynced_commits(WriteDomain domain) const;
 
-  // kWal only: forces a checkpoint now (normally driven by
+  // Forces a checkpoint now (normally driven by
   // wal_checkpoint_bytes and clean close). Folds ALL domain streams in
   // merged commit-sequence order. FailedPrecondition when a
   // transaction is open or live snapshots still pin WAL frames.
   util::Status Checkpoint() BP_EXCLUDES(commit_mu_);
-
-  DurabilityMode durability() const { return options_.durability; }
 
   // --- snapshots (read transactions) ---------------------------------
   //
@@ -430,12 +401,10 @@ class Pager {
   // root, and the stream slots of every committed page still living in
   // a write-ahead log — into an immutable view that any number of
   // reader threads can read while this (single-writer) pager keeps
-  // committing. kWal only: the logs are the device that makes
-  // committed history immutable; journal mode rewrites the database
-  // file in place at every commit and returns FailedPrecondition.
-  // Thread-safe (may be called off the writer thread). While snapshots
-  // are live, checkpoints are deferred and the logs grow; release
-  // snapshots promptly under sustained ingest.
+  // committing: the logs are the device that makes committed history
+  // immutable. Thread-safe (may be called off the writer thread).
+  // While snapshots are live, checkpoints are deferred and the logs
+  // grow; release snapshots promptly under sustained ingest.
   util::Result<std::unique_ptr<Snapshot>> BeginRead() BP_EXCLUDES(commit_mu_);
 
   // Snapshots currently alive (they pin WAL frames and defer
@@ -481,10 +450,6 @@ class Pager {
     std::atomic<uint64_t> stat_group_commits{0};
   };
 
-  // True when the pager runs in WAL mode (domain 0 always owns a
-  // stream then).
-  bool wal_mode() const { return domains_[0].wal != nullptr; }
-
   // Publish the current committed state into published_ under
   // commit_mu_ so BeginRead (any thread) sees either the pre- or
   // post-commit state, never a torn mix. Writer thread only.
@@ -510,12 +475,9 @@ class Pager {
   util::Status LoadHeader();
   std::string SerializedHeader() const;
   util::Status WriteHeaderToFrame();
-  util::Status RecoverFromJournal();
   util::Status RecoverFromWal();
-  util::Status CommitViaJournal(const std::vector<internal::Frame*>& dirty);
   util::Status CommitViaWal(const std::vector<internal::Frame*>& dirty);
   util::Status MaybeCheckpoint();
-  std::string JournalPath() const { return path_ + ".journal"; }
   // Stream 0 keeps the classic <path>.wal name; stream N is <path>.walN.
   std::string WalPath(WriteDomain domain = 0) const {
     return domain == 0 ? path_ + ".wal"
@@ -528,7 +490,9 @@ class Pager {
   util::Status SyncDomainLocked(WalDomain& dom) BP_REQUIRES(dom.mu);
 
   util::Result<internal::Frame*> FetchFrame(PageId id);
-  void JournalBeforeImage(internal::Frame& frame);
+  // Records `frame`'s pre-transaction image (or marks it fresh) the
+  // first time the transaction dirties it; what Rollback restores.
+  void SaveBeforeImage(internal::Frame& frame);
   void Unpin(internal::Frame* frame);
   void MaybeEvict();
 
@@ -536,7 +500,7 @@ class Pager {
   void LruTouch(internal::Frame* frame);
   void LruRemove(internal::Frame* frame);
 
-  // --- buffer pool (WAL mode; writer thread only) --------------------
+  // --- buffer pool (writer thread only) ------------------------------
   // The image key of `id`'s latest COMMITTED image, resolvable by any
   // reader: stream slot when the image lives in a log, main-file key
   // when checkpointed. false when the page has no committed image yet
@@ -559,14 +523,12 @@ class Pager {
   uint64_t change_count_ = 0;
 
   // Shared versioned buffer pool (see storage/buffer_pool.hpp). Null
-  // when disabled. Only consulted in WAL mode: journal mode rewrites
-  // main-file pages in place at every commit, which would invalidate
-  // main-file image keys mid-generation.
+  // when disabled.
   std::shared_ptr<BufferPool> pool_;
   uint32_t pool_owner_ = 0;
   // Checkpoint generation for MAIN-FILE image keys: bumped by every
   // checkpoint that folded pages (the only operation that rewrites the
-  // main database file in WAL mode). WAL-resident keys use the owning
+  // main database file). WAL-resident keys use the owning
   // domain's generation instead (WalDomain::generation). Writer
   // thread; snapshots read the published copies.
   uint32_t main_generation_ = 0;
@@ -586,14 +548,13 @@ class Pager {
   // Pages allocated in this transaction (no before-image; rollback drops).
   std::unordered_map<PageId, bool> fresh_pages_;
   uint32_t txn_orig_page_count_ = 0;
-  // Pages physically valid in the main database file. In journal mode
-  // this tracks page_count_ at the last commit; in WAL mode it only
-  // advances at checkpoints — committed pages beyond it live in the
-  // logs and are fetched through wal_index_.
+  // Pages physically valid in the main database file. It only advances
+  // at checkpoints — committed pages beyond it live in the logs and are
+  // fetched through wal_index_.
   uint32_t main_file_pages_ = 0;
 
-  // --- WAL state (kWal mode only) ------------------------------------
-  // Active domain count (1..kMaxWriteDomains; 1 in journal mode).
+  // --- WAL state -----------------------------------------------------
+  // Active domain count (1..kMaxWriteDomains).
   uint32_t write_domains_ = 1;
   // Domain streams, indexed by WriteDomain. Inactive domains have a
   // null writer but a valid (never contended) mutex, so lock-order
@@ -641,8 +602,6 @@ class Pager {
   uint32_t live_snapshots_ BP_GUARDED_BY(commit_mu_) = 0;
   // Totals folded in by ReleaseSnapshot.
   SnapshotStats retired_snapshot_stats_ BP_GUARDED_BY(commit_mu_);
-
-  bool crash_after_journal_ = false;
 
   // One hot counter, alone on its cache line — the same cell shape
   // obs::Counter stripes over. Single-writer: mutations are serialized
@@ -734,10 +693,6 @@ class AutoTxn {
     committed_ = true;
     return pager_.Commit();
   }
-
-  // True when this AutoTxn opened the transaction (so its destruction
-  // without Commit really rolls back; a nested AutoTxn never does).
-  bool owns() const { return owns_; }
 
  private:
   Pager& pager_;

@@ -71,11 +71,6 @@ class InvertedIndex {
   // Merges buffered postings into the persistent trees.
   util::Status Flush();
 
-  // Re-reads the persisted corpus stats, discarding the cached copies.
-  // For callers whose surrounding transaction rolled back after a
-  // Flush: the trees reverted, so the cached totals must too.
-  util::Status ReloadStats() { return LoadStats(); }
-
   // BM25-ranked disjunctive (OR) search over the query tokens. Returns up
   // to `k` documents, highest score first (ties by doc id).
   util::Result<std::vector<ScoredDoc>> Search(

@@ -13,8 +13,8 @@
 // are free for the default toolchain.
 //
 // The annotated types these macros are meant for live in
-// util/mutex.hpp (Mutex / RecursiveMutex / SharedMutex and their RAII
-// scoped locks); std::mutex itself cannot carry a capability attribute.
+// util/mutex.hpp (Mutex / SharedMutex and their RAII scoped locks);
+// std::mutex itself cannot carry a capability attribute.
 //
 // Conventions used across the codebase:
 //   BP_GUARDED_BY(mu)   on a data member: every read and write needs mu.

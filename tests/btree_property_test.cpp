@@ -7,6 +7,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "storage/btree.hpp"
 #include "storage/db.hpp"
@@ -129,8 +130,8 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // Crash-recovery property: run random committed batches; at a random
-// commit, crash (journal synced, database write torn); after reopen the
-// tree must equal the model as of the last *successful* commit.
+// commit, crash with that commit's log append torn halfway; after reopen
+// the tree must equal the model as of the last *successful* commit.
 struct CrashParams {
   uint64_t seed;
   int batches;
@@ -148,6 +149,9 @@ TEST_P(CrashRecoveryTest, RecoversToLastCommittedState) {
   PagerOptions opts;
   opts.env = &env;
   PageId root;
+  std::map<std::string, std::string> committed;
+  std::map<std::string, std::string> before_crash;
+  std::vector<MemEnvOp> crash_ops;
   {
     auto pager_or = Pager::Open("db", opts);
     ASSERT_TRUE(pager_or.ok());
@@ -159,7 +163,6 @@ TEST_P(CrashRecoveryTest, RecoversToLastCommittedState) {
     ASSERT_TRUE(pager->Commit().ok());
 
     BTree tree(*pager, root);
-    std::map<std::string, std::string> committed;
     std::map<std::string, std::string> pending;
 
     int crash_batch = static_cast<int>(rng.Uniform(params.batches));
@@ -181,45 +184,38 @@ TEST_P(CrashRecoveryTest, RecoversToLastCommittedState) {
         }
       }
       if (crash_now) {
-        pager->set_crash_after_journal_for_testing(true);
-        Status st = pager->Commit();
-        ASSERT_EQ(st.code(), util::StatusCode::kAborted);
-        // Tear the database file to emulate a partial page write.
-        auto file = env.Open("db");
-        ASSERT_TRUE(file.ok());
-        auto size = (*file)->Size();
-        ASSERT_TRUE(size.ok());
-        if (*size > kPageSize) {
-          ASSERT_TRUE(
-              (*file)
-                  ->Write(*size - kPageSize / 2, std::string(64, '\xCC'))
-                  .ok());
-        }
+        // Record the commit's writes so the crash can tear them below.
+        before_crash = env.SnapshotAll();
+        env.StartOpLog();
+        ASSERT_TRUE(pager->Commit().ok());
+        crash_ops = env.StopOpLog();
       } else {
         ASSERT_TRUE(pager->Commit().ok());
         committed = pending;
       }
     }
-
-    // Reopen (recovery path) and verify every committed key/value — and
-    // nothing else — survived.
-    auto reopened_or = Pager::Open("db", opts);
-    ASSERT_TRUE(reopened_or.ok());
-    BTree recovered(**reopened_or, root);
-    auto it = committed.begin();
-    ASSERT_TRUE(recovered
-                    .ForEach([&](std::string_view key,
-                                 std::string_view value) {
-                      EXPECT_NE(it, committed.end());
-                      if (it == committed.end()) return false;
-                      EXPECT_EQ(key, it->first);
-                      EXPECT_EQ(value, it->second);
-                      ++it;
-                      return true;
-                    })
-                    .ok());
-    EXPECT_EQ(it, committed.end());
   }
+
+  // The process died mid-commit: the disk holds everything before the
+  // crashing commit plus the first half of its log append.
+  ASSERT_FALSE(crash_ops.empty());
+  ASSERT_EQ(crash_ops[0].kind, MemEnvOp::Kind::kWrite);
+  env.RestoreAll(before_crash);
+  const int64_t torn = static_cast<int64_t>(crash_ops[0].data.size() / 2);
+  ASSERT_TRUE(env.ApplyOps(crash_ops, 0, torn).ok());
+
+  // Reopen (recovery path) and verify every committed key/value — and
+  // nothing else — survived.
+  auto reopened_or = Pager::Open("db", opts);
+  ASSERT_TRUE(reopened_or.ok()) << reopened_or.status().ToString();
+  BTree recovered(**reopened_or, root);
+  std::map<std::string, std::string> survived;
+  auto collect = [&](std::string_view key, std::string_view value) {
+    survived.emplace(key, value);
+    return true;
+  };
+  ASSERT_TRUE(recovered.ForEach(collect).ok());
+  EXPECT_EQ(survived, committed);
 }
 
 INSTANTIATE_TEST_SUITE_P(

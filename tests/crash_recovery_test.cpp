@@ -40,7 +40,6 @@ namespace {
 
 using storage::Db;
 using storage::DbOptions;
-using storage::DurabilityMode;
 using storage::kGraphDomain;
 using storage::kPageSize;
 using storage::kTextDomain;
@@ -201,7 +200,6 @@ void RunCrossStreamCrashInjection(
   MemEnv env;
   DbOptions opts;
   opts.env = &env;
-  opts.durability = DurabilityMode::kWal;
   opts.write_domains = 2;
   opts.wal_group_commit = wal_group_commit;
   opts.wal_checkpoint_bytes = checkpoint_bytes;

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <variant>
@@ -171,34 +173,58 @@ TEST(IngestPipelineTest, SynchronousIngestLeavesTheTailUnsynced) {
 
 // --------------------------------------------------------- backpressure
 
+// Test-only sink that parks the committer inside its first delivery
+// until Open(). The committer holds the writer lock for its whole batch,
+// so while it waits here nothing drains the queue — the stall the
+// backpressure tests need. Subscribe before enqueueing, declare before
+// the database (the bus keeps a raw pointer), and Open() before Drain.
+class GateSink : public capture::EventSink {
+ public:
+  util::Status OnEvent(const BrowserEvent&) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return open_; });
+    return util::Status::Ok();
+  }
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
 TEST(IngestPipelineTest, RejectPolicySurfacesFullQueueWithoutBlocking) {
   storage::MemEnv env;
   ProvenanceDb::Options options = MemOptions(&env);
   options.async.queue_capacity = 2;
   options.async.backpressure = capture::BackpressurePolicy::kReject;
+  GateSink gate;  // stalls the committer on its first batch
   auto db = ProvenanceDb::Open("async.db", options);
   ASSERT_TRUE(db.ok());
+  (*db)->bus().Subscribe(&gate);
 
   std::vector<int> accepted;
   bool rejected = false;
-  {
-    // Stall the committer: the Batch holds the writer lock it needs.
-    ProvenanceDb::Batch batch(**db);
-    // The pipeline can absorb at most one in-flight batch plus a full
-    // queue; with capacity 2 a reject MUST appear within a handful of
-    // enqueues, and the capture thread never blocks.
-    for (int i = 1; i <= 20 && !rejected; ++i) {
-      auto ticket = (*db)->IngestAsync(MakeVisit(i, Url(i)));
-      if (ticket.ok()) {
-        accepted.push_back(i);
-      } else {
-        EXPECT_TRUE(ticket.status().IsBudgetExhausted())
-            << ticket.status().ToString();
-        rejected = true;
-      }
+  // The pipeline can absorb at most one in-flight batch plus a full
+  // queue; with capacity 2 a reject MUST appear within a handful of
+  // enqueues, and the capture thread never blocks.
+  for (int i = 1; i <= 20 && !rejected; ++i) {
+    auto ticket = (*db)->IngestAsync(MakeVisit(i, Url(i)));
+    if (ticket.ok()) {
+      accepted.push_back(i);
+    } else {
+      EXPECT_TRUE(ticket.status().IsBudgetExhausted())
+          << ticket.status().ToString();
+      rejected = true;
     }
-    ASSERT_TRUE(batch.Commit().ok());
   }
+  gate.Open();
   EXPECT_TRUE(rejected);
   EXPECT_GE((*db)->pipeline_stats().rejected, 1u);
   ASSERT_TRUE((*db)->Drain().ok());
@@ -213,24 +239,25 @@ TEST(IngestPipelineTest, BlockPolicyIsLosslessUnderAFullQueue) {
   storage::MemEnv env;
   ProvenanceDb::Options options = MemOptions(&env);
   options.async.queue_capacity = 2;  // default kBlock
+  GateSink gate;  // stalls the committer on its first batch
   auto db = ProvenanceDb::Open("async.db", options);
   ASSERT_TRUE(db.ok());
+  (*db)->bus().Subscribe(&gate);
 
   constexpr int kEvents = 8;
-  std::thread producer;
-  {
-    ProvenanceDb::Batch batch(**db);  // stall the committer
-    producer = std::thread([&] {
-      for (int i = 1; i <= kEvents; ++i) {
-        auto ticket = (*db)->IngestAsync(MakeVisit(i, Url(i)));
-        EXPECT_TRUE(ticket.ok()) << ticket.status().ToString();
-      }
-    });
-    // 8 events cannot fit in one in-flight batch + a 2-slot queue, so
-    // the producer is guaranteed to hit the blocking path while the
-    // batch pins the committer; releasing the batch lets it finish.
-    ASSERT_TRUE(batch.Commit().ok());
+  std::thread producer([&] {
+    for (int i = 1; i <= kEvents; ++i) {
+      auto ticket = (*db)->IngestAsync(MakeVisit(i, Url(i)));
+      EXPECT_TRUE(ticket.ok()) << ticket.status().ToString();
+    }
+  });
+  // 8 events cannot fit in one in-flight batch + a 2-slot queue, so the
+  // producer must reach the blocking path while the gate pins the
+  // committer. Wait until it has, then release the gate.
+  while ((*db)->pipeline_stats().blocked_enqueues == 0) {
+    std::this_thread::yield();
   }
+  gate.Open();
   producer.join();
   ASSERT_TRUE((*db)->Drain().ok());
   EXPECT_GE((*db)->pipeline_stats().blocked_enqueues, 1u);

@@ -349,7 +349,6 @@ TEST_P(ProvTest, BatchedWalIngestMatchesUnbatchedAndSurvivesCrash) {
   MemEnv wal_env;
   DbOptions opts;
   opts.env = &wal_env;
-  opts.durability = storage::DurabilityMode::kWal;
   opts.wal_group_commit = 1;
   std::map<std::string, std::string> crashed;
   {

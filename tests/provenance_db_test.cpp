@@ -15,6 +15,7 @@
 #include "sim/scenario.hpp"
 #include "storage/buffer_pool.hpp"
 #include "storage/env.hpp"
+#include "util/serde.hpp"
 
 namespace bp::prov {
 namespace {
@@ -107,26 +108,6 @@ TEST_F(ProvenanceDbTest, DescendantDownloadsAndTimeContext) {
   auto personalized = db_->Personalize("rosebud");
   ASSERT_TRUE(personalized.ok());
   EXPECT_GT(personalized->stats.rows_scanned, 0u);
-}
-
-TEST_F(ProvenanceDbTest, BatchRollsBackWithoutCommit) {
-  sim::ScenarioBuilder s;
-  s.Visit(1, "http://a.example/", "A", capture::NavigationAction::kTyped);
-  {
-    ProvenanceDb::Batch batch(*db_);
-    ASSERT_TRUE(db_->Ingest(s.events()[0]).ok());
-    // No Commit: destruction rolls the batch back.
-  }
-  EXPECT_TRUE(db_->store().PageForUrl("http://a.example/")
-                  .status()
-                  .IsNotFound());
-
-  {
-    ProvenanceDb::Batch batch(*db_);
-    ASSERT_TRUE(db_->Ingest(s.events()[0]).ok());
-    ASSERT_TRUE(batch.Commit().ok());
-  }
-  EXPECT_TRUE(db_->store().PageForUrl("http://a.example/").ok());
 }
 
 TEST_F(ProvenanceDbTest, SnapshotViewIsIsolatedFromLaterIngest) {
@@ -224,86 +205,127 @@ TEST_F(ProvenanceDbTest, SyncAndCheckpointThroughTheFacade) {
   EXPECT_TRUE(db_->Checkpoint().ok());
 }
 
-TEST_F(ProvenanceDbTest, MidBatchOneShotQueriesReadTheirOwnWrites) {
-  // Inside an open Batch a snapshot would exclude the batch's own
-  // (uncommitted) events, so one-shot queries stay on the live
-  // serialized path there and see them.
-  sim::ScenarioBuilder s;
-  s.Visit(1, "http://fresh.example/", "zanzibar fresh page",
-          capture::NavigationAction::kTyped);
-  {
-    ProvenanceDb::Batch batch(*db_);
-    ASSERT_TRUE(db_->Ingest(s.events()[0]).ok());
-    auto hits = db_->Search("zanzibar");
-    ASSERT_TRUE(hits.ok()) << hits.status().ToString();
-    EXPECT_FALSE(hits->pages.empty())
-        << "mid-batch query must read the batch's own writes";
-    // An explicit snapshot, by contrast, cannot honor its contract
-    // mid-batch and refuses.
-    EXPECT_EQ(db_->BeginSnapshot().status().code(),
-              util::StatusCode::kFailedPrecondition);
-    ASSERT_TRUE(batch.Commit().ok());
-  }
-  // After the batch, the (now snapshot-backed) one-shot path agrees.
-  auto hits = db_->Search("zanzibar");
-  ASSERT_TRUE(hits.ok());
+TEST_F(ProvenanceDbTest, QueriesRefuseInsideAStorageTransaction) {
+  // A transaction opened through db() is uncommitted, so a snapshot
+  // could not see it — and the index refresh a snapshot runs first
+  // would compose into it. Snapshots and one-shot queries (which open a
+  // private snapshot) refuse instead of answering from a half view.
+  IngestRosebudSession();
+  ASSERT_TRUE(db_->db().Begin().ok());
+  EXPECT_EQ(db_->BeginSnapshot().status().code(),
+            util::StatusCode::kFailedPrecondition);
+  EXPECT_EQ(db_->Search("rosebud").status().code(),
+            util::StatusCode::kFailedPrecondition);
+  EXPECT_EQ(db_->TraceDownload(1).status().code(),
+            util::StatusCode::kFailedPrecondition);
+  EXPECT_EQ(db_->Close().code(), util::StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(db_->db().Rollback().ok());
+
+  auto hits = db_->Search("rosebud");
+  ASSERT_TRUE(hits.ok()) << hits.status().ToString();
   EXPECT_FALSE(hits->pages.empty());
 }
 
-TEST_F(ProvenanceDbTest, RolledBackBatchDoesNotPoisonTheTextIndex) {
-  // A mid-batch query indexes the batch's (uncommitted) pages; if the
-  // batch then rolls back, the searcher must rewind its watermark —
-  // otherwise later pages reusing those node ids are never indexed.
-  sim::ScenarioBuilder s;
-  s.Visit(1, "http://q.example/", "quokka habitat facts",
-          capture::NavigationAction::kTyped);
-  {
-    ProvenanceDb::Batch batch(*db_);
-    ASSERT_TRUE(db_->Ingest(s.events()[0]).ok());
-    auto mid = db_->Search("quokka");
-    ASSERT_TRUE(mid.ok());
-    EXPECT_FALSE(mid->pages.empty());
-    // No Commit: everything rolls back.
-  }
-  auto gone = db_->Search("quokka");
-  ASSERT_TRUE(gone.ok());
-  EXPECT_TRUE(gone->pages.empty());
-
-  // Fresh pages now reuse the rolled-back node ids; they must be
-  // searchable.
-  sim::ScenarioBuilder again;
-  again.Visit(1, "http://q2.example/", "quokka selfie guide",
-              capture::NavigationAction::kTyped);
-  ASSERT_TRUE(db_->IngestAll(again.events()).ok());
-  auto found = db_->Search("quokka");
-  ASSERT_TRUE(found.ok());
-  ASSERT_FALSE(found->pages.empty())
-      << "page with a reused node id was skipped by the indexer";
-  EXPECT_EQ(found->pages[0].url, "http://q2.example/");
-}
-
-TEST_F(ProvenanceDbTest, JournalModeFallsBackToSerializedQueries) {
+TEST(ProvenanceDbCorruptionTest, ChildPointerPastTheLastPageIsCorruption) {
+  // On-disk damage must surface as a Status, never as a throw: point
+  // every child of the adjacency trees' interior roots past the last
+  // page of a cleanly closed database, reopen, and query.
   storage::MemEnv env;
   ProvenanceDb::Options options;
   options.db.env = &env;
-  options.db.durability = storage::DurabilityMode::kRollbackJournal;
-  auto db = ProvenanceDb::Open("journal.db", options);
+  // Raw checkpoint slots, so the test can edit page bytes in place.
+  options.db.compression.mode =
+      storage::compress::CompressionOptions::Mode::kOff;
+  graph::NodeId download = 0;
+  {
+    auto db = ProvenanceDb::Open("corrupt.db", options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    // Enough linked history that the adjacency trees grow interior
+    // roots; the rosebud session lands last.
+    sim::ScenarioBuilder s;
+    uint64_t prev = 0;
+    for (int i = 0; i < 600; ++i) {
+      prev = s.Visit(1, "http://filler.example/" + std::to_string(i),
+                     "filler page " + std::to_string(i),
+                     prev == 0 ? capture::NavigationAction::kTyped
+                               : capture::NavigationAction::kLink,
+                     prev);
+    }
+    uint64_t search = s.Search(1, "rosebud", prev);
+    uint64_t results = s.Visit(1, "https://search.example/results?q=rosebud",
+                               "rosebud - search results",
+                               capture::NavigationAction::kSearchResult, 0,
+                               search);
+    uint64_t dl = s.Download("http://films.example/kane-script.pdf",
+                             "/downloads/kane-script.pdf", results);
+    ASSERT_TRUE((*db)->IngestAll(s.events()).ok());
+    download = (*db)->recorder().download_map().at(dl);
+    ASSERT_TRUE((*db)->Close().ok());
+  }
+
+  std::vector<storage::PageId> roots;
+  uint32_t page_count = 0;
+  {
+    auto db = storage::Db::Open("corrupt.db", options.db);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    for (const char* name : {"prov.out", "prov.in", "prov.edges"}) {
+      auto tree = (*db)->OpenTree(name);
+      ASSERT_TRUE(tree.ok()) << name;
+      roots.push_back((*tree)->root());
+    }
+    page_count = (*db)->pager().page_count();
+  }
+  const uint32_t bad_child = page_count + 1000;
+  auto put_u32 = [](std::string& page, size_t off, uint32_t v) {
+    for (size_t i = 0; i < 4; ++i) {
+      page[off + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+    }
+  };
+  auto file = env.Open("corrupt.db");
+  ASSERT_TRUE(file.ok());
+  int corrupted_roots = 0;
+  for (storage::PageId root : roots) {
+    std::string page;
+    const uint64_t at = uint64_t{root} * storage::kPageSize;
+    ASSERT_TRUE((*file)->Read(at, storage::kPageSize, &page).ok());
+    // B-tree page layout (storage/btree.cpp): type byte 2 = interior,
+    // u16 cell count at 2, rightmost child u32 at 8, u16 cell pointers
+    // from 16; an interior cell is (string separator, u32 child).
+    if (page[0] != 2) continue;
+    put_u32(page, 8, bad_child);
+    const uint16_t ncells = static_cast<uint8_t>(page[2]) |
+                            (static_cast<uint8_t>(page[3]) << 8);
+    for (uint16_t i = 0; i < ncells; ++i) {
+      const size_t ptr = 16 + 2 * size_t{i};
+      const size_t off = static_cast<uint8_t>(page[ptr]) |
+                         (static_cast<uint8_t>(page[ptr + 1]) << 8);
+      util::Reader r(std::string_view(page).substr(off));
+      r.ReadString();
+      put_u32(page, off + r.position(), bad_child);
+    }
+    ASSERT_TRUE((*file)->Write(at, page).ok());
+    ++corrupted_roots;
+  }
+  ASSERT_GT(corrupted_roots, 0) << "history too small for interior roots";
+
+  auto db = ProvenanceDb::Open("corrupt.db", options);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
-
-  sim::ScenarioBuilder s;
-  s.Visit(1, "http://a.example/", "alpha page",
-          capture::NavigationAction::kTyped);
-  ASSERT_TRUE((*db)->IngestAll(s.events()).ok());
-
-  // No snapshots in journal mode, but the one-shot queries still work
-  // (serialized against ingestion) and the durability controls no-op.
-  EXPECT_EQ((*db)->BeginSnapshot().status().code(),
-            util::StatusCode::kFailedPrecondition);
-  auto hits = (*db)->Search("alpha");
-  ASSERT_TRUE(hits.ok());
-  EXPECT_FALSE(hits->pages.empty());
-  EXPECT_TRUE((*db)->Sync().ok());
-  EXPECT_TRUE((*db)->Checkpoint().ok());
+  util::Result<search::ContextualSearchResult> hits = util::Status::NotFound();
+  ASSERT_NO_THROW(hits = (*db)->Search("rosebud"));
+  EXPECT_EQ(hits.status().code(), util::StatusCode::kCorruption)
+      << hits.status().ToString();
+  util::Result<search::LineageReport> lineage = util::Status::NotFound();
+  ASSERT_NO_THROW(lineage = (*db)->TraceDownload(download));
+  EXPECT_EQ(lineage.status().code(), util::StatusCode::kCorruption)
+      << lineage.status().ToString();
+  // The writer's live path reports the same damage the same way.
+  sim::ScenarioBuilder more;
+  more.Visit(2, "http://after.example/", "after the damage",
+             capture::NavigationAction::kTyped);
+  util::Status ingested;
+  ASSERT_NO_THROW(ingested = (*db)->IngestAll(more.events()));
+  EXPECT_EQ(ingested.code(), util::StatusCode::kCorruption)
+      << ingested.ToString();
 }
 
 TEST_F(ProvenanceDbTest, ConcurrentReadersDuringIngest) {

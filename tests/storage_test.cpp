@@ -246,77 +246,6 @@ TEST_F(PagerTest, FreelistReusesPages) {
   ASSERT_TRUE(pager->Commit().ok());
 }
 
-TEST_F(PagerTest, CrashAfterJournalSyncRecovers) {
-  // Commit A durably; begin B, mutate, then crash mid-commit. Reopen must
-  // roll back to state A.
-  {
-    auto pager = OpenPager();
-    ASSERT_TRUE(pager->Begin().ok());
-    auto id = pager->Allocate();
-    ASSERT_TRUE(id.ok());
-    {
-      auto ref = pager->GetMutable(*id);
-      ref->mutable_data()[0] = 'A';
-    }
-    ASSERT_TRUE(pager->Commit().ok());
-
-    ASSERT_TRUE(pager->Begin().ok());
-    {
-      auto ref = pager->GetMutable(*id);
-      ref->mutable_data()[0] = 'B';
-    }
-    pager->set_crash_after_journal_for_testing(true);
-    EXPECT_EQ(pager->Commit().code(), util::StatusCode::kAborted);
-    // Simulate the process dying: drop the pager without cleanup.
-  }
-  EXPECT_TRUE(env_.Exists("db.journal"));
-  {
-    auto pager = OpenPager();  // recovery runs here
-    auto ref = pager->Get(1);
-    ASSERT_TRUE(ref.ok());
-    EXPECT_EQ(ref->data()[0], 'A');
-    EXPECT_FALSE(env_.Exists("db.journal"));
-  }
-}
-
-TEST_F(PagerTest, CrashMidDatabaseWriteRecovers) {
-  // Take a filesystem snapshot right after a crash-marked commit (journal
-  // synced, database partially written is the worst case we emulate by
-  // writing garbage into the db file before reopening).
-  auto pager = OpenPager();
-  ASSERT_TRUE(pager->Begin().ok());
-  auto id = pager->Allocate();
-  ASSERT_TRUE(id.ok());
-  {
-    auto ref = pager->GetMutable(*id);
-    ref->mutable_data()[0] = 'A';
-  }
-  ASSERT_TRUE(pager->Commit().ok());
-
-  ASSERT_TRUE(pager->Begin().ok());
-  {
-    auto ref = pager->GetMutable(*id);
-    ref->mutable_data()[0] = 'B';
-  }
-  pager->set_crash_after_journal_for_testing(true);
-  EXPECT_EQ(pager->Commit().code(), util::StatusCode::kAborted);
-
-  // Corrupt the committed page region, as if the crash interrupted the
-  // database write halfway through.
-  auto file = env_.Open("db");
-  ASSERT_TRUE((*file)->Write(uint64_t{1} * kPageSize, "garbage!").ok());
-
-  auto reopened = Pager::Open("db", [&] {
-    PagerOptions o;
-    o.env = &env_;
-    return o;
-  }());
-  ASSERT_TRUE(reopened.ok());
-  auto ref = (*reopened)->Get(1);
-  ASSERT_TRUE(ref.ok());
-  EXPECT_EQ(ref->data()[0], 'A');
-}
-
 TEST_F(PagerTest, MutationOutsideTransactionThrows) {
   auto pager = OpenPager();
   EXPECT_THROW((void)pager->GetMutable(0), std::logic_error);
@@ -677,7 +606,6 @@ TEST(DbTest, CompressedCheckpointSurvivesReopenAndModeSwitch) {
   MemEnv env;
   DbOptions opts;
   opts.env = &env;
-  opts.durability = DurabilityMode::kWal;
   opts.compression.mode = compress::CompressionOptions::Mode::kFast;
 
   std::map<std::string, std::string> model;

@@ -1,9 +1,9 @@
 // WAL durability subsystem tests: log format round trips, torn-tail
-// detection, pager WAL mode (commit, reopen, checkpoint, eviction,
-// group commit), mode-switch recovery, and the crash-injection property
-// test — crash at EVERY prefix of the recorded write sequence (plus
-// torn final writes), reopen, and verify committed data is intact and
-// uncommitted data absent, in both durability modes.
+// detection, the pager's WAL (commit, reopen, checkpoint, eviction,
+// group commit), refusal of a leftover rollback journal, and the
+// crash-injection property test — crash at EVERY prefix of the recorded
+// write sequence (plus torn final writes), reopen, and verify committed
+// data is intact and uncommitted data absent.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -24,7 +24,6 @@ namespace {
 
 using storage::Db;
 using storage::DbOptions;
-using storage::DurabilityMode;
 using storage::kPageSize;
 using storage::MemEnv;
 using storage::MemEnvOp;
@@ -168,12 +167,11 @@ TEST(CheckpointerTest, FoldsCommittedPagesIntoDbFile) {
   EXPECT_EQ(out.substr(2 * kPageSize, kPageSize), Page('Y'));
 }
 
-// --------------------------------------------------- pager, WAL mode
+// --------------------------------------------------------- pager WAL
 
 PagerOptions WalPagerOptions(MemEnv* env) {
   PagerOptions opts;
   opts.env = env;
-  opts.durability = DurabilityMode::kWal;
   return opts;
 }
 
@@ -388,84 +386,33 @@ TEST(PagerWalTest, GroupCommitCrashLosesOnlyUnsyncedSuffixAtomically) {
   }
 }
 
-// ------------------------------------------------- mode-switch safety
+// ------------------------------------------- leftover hot journal
 
-TEST(ModeSwitchTest, JournalDbOpensInWalModeAndBack) {
+TEST(HotJournalTest, OpenRefusesALeftoverRollbackJournal) {
+  // Earlier builds committed through a rollback journal. A crash mid-
+  // commit left <db>.journal holding before-images that only such a
+  // build can roll back, so this build must refuse — naming the file —
+  // rather than open a possibly half-written database file.
   MemEnv env;
-  PagerOptions jopts;
-  jopts.env = &env;
-  {
-    auto pager = Pager::Open("db", jopts);
-    ASSERT_TRUE(pager.ok());
-    ASSERT_TRUE((*pager)->Begin().ok());
-    auto id = (*pager)->Allocate();
-    ASSERT_TRUE(id.ok());
-    (*(*pager)->GetMutable(*id)).mutable_data()[0] = 'J';
-    ASSERT_TRUE((*pager)->Commit().ok());
-  }
   {
     auto pager = Pager::Open("db", WalPagerOptions(&env));
     ASSERT_TRUE(pager.ok());
-    EXPECT_EQ((*(*pager)->Get(1)).data()[0], 'J');
-    ASSERT_TRUE((*pager)->Begin().ok());
-    (*(*pager)->GetMutable(1)).mutable_data()[0] = 'W';
-    ASSERT_TRUE((*pager)->Commit().ok());
   }
   {
-    auto pager = Pager::Open("db", jopts);
-    ASSERT_TRUE(pager.ok());
-    EXPECT_EQ((*(*pager)->Get(1)).data()[0], 'W');
+    auto journal = env.Open("db.journal");
+    ASSERT_TRUE(journal.ok());
+    ASSERT_TRUE((*journal)->Write(0, "BPJL leftover before-images").ok());
   }
-}
+  auto refused = Pager::Open("db", WalPagerOptions(&env));
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), util::StatusCode::kFailedPrecondition);
+  EXPECT_NE(refused.status().ToString().find("db.journal"), std::string::npos)
+      << refused.status().ToString();
+  EXPECT_TRUE(env.Exists("db.journal")) << "the journal is evidence; keep it";
 
-TEST(ModeSwitchTest, HotJournalRolledBackWhenOpeningInWalMode) {
-  MemEnv env;
-  PagerOptions jopts;
-  jopts.env = &env;
-  auto pager = Pager::Open("db", jopts);
-  ASSERT_TRUE(pager.ok());
-  ASSERT_TRUE((*pager)->Begin().ok());
-  auto id = (*pager)->Allocate();
-  ASSERT_TRUE(id.ok());
-  (*(*pager)->GetMutable(*id)).mutable_data()[0] = 'A';
-  ASSERT_TRUE((*pager)->Commit().ok());
-
-  ASSERT_TRUE((*pager)->Begin().ok());
-  (*(*pager)->GetMutable(*id)).mutable_data()[0] = 'B';
-  (*pager)->set_crash_after_journal_for_testing(true);
-  EXPECT_EQ((*pager)->Commit().code(), util::StatusCode::kAborted);
-  auto crashed = env.SnapshotAll();
-  ASSERT_TRUE((*pager)->Rollback().ok());
-  pager->reset();
-
-  env.RestoreAll(crashed);
-  ASSERT_TRUE(env.Exists("db.journal"));
-  auto wal_pager = Pager::Open("db", WalPagerOptions(&env));
-  ASSERT_TRUE(wal_pager.ok());
-  EXPECT_EQ((*(*wal_pager)->Get(1)).data()[0], 'A');
-  EXPECT_FALSE(env.Exists("db.journal"));
-}
-
-TEST(ModeSwitchTest, CrashedWalDbOpensInJournalMode) {
-  MemEnv env;
-  std::map<std::string, std::string> crashed;
-  {
-    auto pager = Pager::Open("db", WalPagerOptions(&env));
-    ASSERT_TRUE(pager.ok());
-    ASSERT_TRUE((*pager)->Begin().ok());
-    auto id = (*pager)->Allocate();
-    ASSERT_TRUE(id.ok());
-    (*(*pager)->GetMutable(*id)).mutable_data()[0] = 'W';
-    ASSERT_TRUE((*pager)->Commit().ok());
-    crashed = env.SnapshotAll();  // commit only in the log
-  }
-  env.RestoreAll(crashed);
-  PagerOptions jopts;
-  jopts.env = &env;
-  auto pager = Pager::Open("db", jopts);
-  ASSERT_TRUE(pager.ok());
-  EXPECT_EQ((*(*pager)->Get(1)).data()[0], 'W');
-  EXPECT_FALSE(env.Exists("db.wal"));
+  // Once the operator resolves the journal, the database opens again.
+  ASSERT_TRUE(env.Remove("db.journal").ok());
+  EXPECT_TRUE(Pager::Open("db", WalPagerOptions(&env)).ok());
 }
 
 // --------------------------------- crash-injection property test
@@ -495,11 +442,10 @@ struct TxnBoundary {
   Model state;          // expected tree contents at that point
 };
 
-void RunCrashInjection(DurabilityMode mode) {
+TEST(CrashInjectionPropertyTest, WalModeEveryPrefix) {
   MemEnv env;
   DbOptions opts;
   opts.env = &env;
-  opts.durability = mode;
   opts.wal_group_commit = 1;  // strict durability for the property
   opts.wal_checkpoint_bytes = 24 * kPageSize;  // exercise checkpoints too
 
@@ -569,8 +515,7 @@ void RunCrashInjection(DurabilityMode mode) {
       ASSERT_TRUE(env.ApplyOps(ops, p, partial).ok());
 
       auto db = Db::Open("db", opts);
-      ASSERT_TRUE(db.ok()) << "mode " << static_cast<int>(mode)
-                           << " crash at op " << p << " cut " << partial
+      ASSERT_TRUE(db.ok()) << "crash at op " << p << " cut " << partial
                            << ": " << db.status().ToString();
       auto tree = (*db)->OpenTree("t");
       ASSERT_TRUE(tree.ok());
@@ -579,9 +524,8 @@ void RunCrashInjection(DurabilityMode mode) {
       // Last boundary fully contained in the prefix: the recovered
       // database must be EXACTLY that state, or exactly the next one
       // (legal when the crash point already has the whole of txn li+1
-      // durable — e.g. mid-checkpoint, or with only the journal's
-      // retirement missing). Anything else — a torn mix of two txns —
-      // is a durability bug.
+      // durable — e.g. mid-checkpoint). Anything else — a torn mix of
+      // two txns — is a durability bug.
       size_t li = 0;
       for (size_t b = 0; b < boundaries.size(); ++b) {
         if (boundaries[b].ops_done <= p) li = b;
@@ -590,9 +534,8 @@ void RunCrashInjection(DurabilityMode mode) {
       bool matches_next = li + 1 < boundaries.size() &&
                           recovered == boundaries[li + 1].state;
       EXPECT_TRUE(matches_li || matches_next)
-          << "mode " << static_cast<int>(mode) << " crash at op " << p
-          << " cut " << partial << ": recovered " << recovered.size()
-          << " keys; expected state " << li << " ("
+          << "crash at op " << p << " cut " << partial << ": recovered "
+          << recovered.size() << " keys; expected state " << li << " ("
           << boundaries[li].state.size() << " keys) or state " << li + 1;
       // Rolled-back mutations must never surface.
       EXPECT_EQ(recovered.count(99), 0u)
@@ -602,14 +545,6 @@ void RunCrashInjection(DurabilityMode mode) {
   }
   // The sweep must actually have covered a meaningful number of states.
   EXPECT_GT(checked, ops.size());
-}
-
-TEST(CrashInjectionPropertyTest, JournalModeEveryPrefix) {
-  RunCrashInjection(DurabilityMode::kRollbackJournal);
-}
-
-TEST(CrashInjectionPropertyTest, WalModeEveryPrefix) {
-  RunCrashInjection(DurabilityMode::kWal);
 }
 
 }  // namespace
