@@ -365,6 +365,80 @@ int main(int argc, char** argv) {
                        QueryLatencyHistogram("trace_download"));
   }
 
+  // ---- Reopen stability: the same answers from every open.
+  //
+  // A profile is reopened at every browser start and by every tool that
+  // interrogates it. The text index persists its watermark with its
+  // postings, so a clean reopen must index nothing, commit nothing, and
+  // answer every query exactly as before the close. Counts the fixed
+  // (family, query) pairs whose answer, scores included, is identical
+  // across 3 reopens.
+  {
+    storage::MemEnv env;
+    prov::ProvenanceDb::Options options;
+    options.db.env = &env;
+    options.db.sync = false;
+    std::vector<std::string> qs(
+        queries.begin(),
+        queries.begin() + std::min<size_t>(queries.size(), 16));
+    auto answers = [&](prov::ProvenanceDb& db) {
+      std::vector<std::string> out;
+      for (size_t i = 0; i < qs.size(); ++i) {
+        std::string a = "search";
+        for (const auto& page :
+             MustOk(db.Search(qs[i]), "reopen search").pages) {
+          a += util::StrFormat(" %llu=%a", (unsigned long long)page.page,
+                               page.total);
+        }
+        out.push_back(a);
+        auto personalized = MustOk(db.Personalize(qs[i]), "reopen personalize");
+        a = "personalize " + personalized.AugmentedQuery();
+        for (const auto& candidate : personalized.candidates) {
+          a += util::StrFormat(" %s=%a", candidate.term.c_str(),
+                               candidate.score);
+        }
+        out.push_back(a);
+        a = "time";
+        for (const auto& match :
+             MustOk(db.TimeContext(qs[i], qs[(i + 1) % qs.size()]),
+                    "reopen time context")
+                 .matches) {
+          a += util::StrFormat(" %llu=%a", (unsigned long long)match.page.page,
+                               match.page.total);
+        }
+        out.push_back(a);
+      }
+      return out;
+    };
+    std::vector<std::string> first;
+    {
+      auto writer = MustOk(prov::ProvenanceDb::Open("reopen.db", options),
+                           "open reopen writer");
+      MustOk(writer->IngestAll(fx->out.events), "reopen ingest");
+      first = answers(*writer);
+    }
+    std::vector<bool> stable(first.size(), true);
+    uint64_t open_commits = 0;
+    for (int reopen = 0; reopen < 3; ++reopen) {
+      auto db = MustOk(prov::ProvenanceDb::Open("reopen.db", options),
+                       "reopen");
+      open_commits += db->storage_stats().commits;
+      std::vector<std::string> again = answers(*db);
+      for (size_t i = 0; i < first.size(); ++i) {
+        if (again[i] != first[i]) stable[i] = false;
+      }
+    }
+    const auto stable_count = std::count(stable.begin(), stable.end(), true);
+    Blank();
+    Row("reopen stability (3 clean reopens of the closed history):");
+    Row("  %lld of %zu fixed queries answered identically; %llu commits "
+        "during the reopens' Open",
+        (long long)stable_count, first.size(),
+        (unsigned long long)open_commits);
+    Metric("reopen_stable_answers", static_cast<double>(stable_count));
+    Metric("reopen_open_commits", static_cast<double>(open_commits));
+  }
+
   Blank();
   Row("('<200ms' should be a large majority unbounded and 100%% budgeted,");
   Row(" reproducing the paper's latency claim)");

@@ -34,7 +34,6 @@ Result<std::unique_ptr<HistorySearcher>> HistorySearcher::AtSnapshot(
   std::unique_ptr<HistorySearcher> view(
       new HistorySearcher(db_, bound_store));
   BP_ASSIGN_OR_RETURN(view->index_, index_->AtSnapshot(snap));
-  view->indexed_watermark_ = indexed_watermark_;
   view->bound_ = true;
   return view;
 }
@@ -42,10 +41,11 @@ Result<std::unique_ptr<HistorySearcher>> HistorySearcher::AtSnapshot(
 Status HistorySearcher::IndexNewPages() {
   BP_REQUIRE(!bound_, "IndexNewPages on a snapshot-bound searcher");
   // Canonical page nodes carry url+title; node ids ascend, so the cursor
-  // seeks straight to the first node past the watermark instead of
-  // scanning (and skipping) everything below it.
-  NodeId high = indexed_watermark_;
-  graph::NodeCursor cur = store_.graph().Nodes(indexed_watermark_ + 1);
+  // seeks straight to the first node past the index's watermark instead
+  // of scanning (and skipping) everything below it.
+  const NodeId start = index_->watermark();
+  NodeId high = start;
+  graph::NodeCursor cur = store_.graph().Nodes(start + 1);
   for (; cur.Valid(); cur.Next()) {
     high = std::max(high, cur.node().id());
     if (cur.node().kind() != static_cast<uint32_t>(NodeKind::kPage)) {
@@ -59,7 +59,9 @@ Status HistorySearcher::IndexNewPages() {
         index_->AddDocument(cur.node().id(), text::Tokenize(doc)));
   }
   BP_RETURN_IF_ERROR(cur.status());
-  indexed_watermark_ = high;
+  // The mark rides the same Flush as the documents it covers; if that
+  // Flush fails, both stay buffered in the index for the next call.
+  index_->AdvanceWatermark(high);
   return index_->Flush();
 }
 

@@ -75,8 +75,13 @@ class HistorySearcher {
       const storage::Snapshot& snap, prov::ProvStore& bound_store) const;
   bool snapshot_bound() const { return bound_; }
 
-  // Indexes canonical pages added since the last call (id watermark), so
-  // it can be called after every ingestion batch.
+  // Indexes canonical pages with ids above the index's watermark, then
+  // advances the watermark to the highest node id scanned. The index
+  // persists the watermark with the postings it covers (one Flush, one
+  // transaction), so it can be called after every ingestion batch and a
+  // reopened searcher resumes where the durable index ends: a clean
+  // reopen indexes and commits nothing, and a reopen after un-indexed
+  // ingest catches up only that tail.
   util::Status IndexNewPages();
 
   // Baseline: BM25 only. Returns pages ranked by text_score.
@@ -101,7 +106,6 @@ class HistorySearcher {
   storage::Db& db_;
   prov::ProvStore& store_;
   std::unique_ptr<text::InvertedIndex> index_;
-  NodeId indexed_watermark_ = 0;
   bool bound_ = false;  // snapshot-bound handle (AtSnapshot)
 };
 

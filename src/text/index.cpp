@@ -97,23 +97,44 @@ Result<std::unique_ptr<InvertedIndex>> InvertedIndex::AtSnapshot(
 
 Status InvertedIndex::LoadStats() {
   auto blob = meta_tree_->Get(kStatsKey);
+  bool has_mark = false;
   if (blob.ok()) {
     Reader r(*blob);
     total_docs_ = r.ReadVarint64();
     total_tokens_ = r.ReadVarint64();
+    has_mark = !r.AtEnd();
+    if (has_mark) durable_watermark_ = r.ReadVarint64();
     BP_RETURN_IF_ERROR(r.Finish());
   } else if (!blob.status().IsNotFound()) {
     return blob.status();
   }
-  stats_loaded_ = true;
+  watermark_ = durable_watermark_;
+  // A record from an older build (or none yet): the highest docs key is
+  // the mark. Snapshot views never index, so only the live handle pays
+  // for the scan, and only until its next Flush persists the mark.
+  if (!has_mark && !snapshot_bound()) {
+    BP_RETURN_IF_ERROR(
+        docs_tree_->ForEach([&](std::string_view key, std::string_view) {
+          watermark_ = util::DecodeOrderedKeyU64(key);
+          return true;
+        }));
+  }
   return Status::Ok();
 }
 
-Status InvertedIndex::SaveStats() {
-  Writer w;
-  w.PutVarint64(total_docs_);
-  w.PutVarint64(total_tokens_);
-  return meta_tree_->Put(kStatsKey, w.data());
+void InvertedIndex::AdvanceWatermark(uint64_t mark) {
+  BP_REQUIRE(!snapshot_bound(), "AdvanceWatermark on a snapshot-bound index");
+  watermark_ = std::max(watermark_, mark);
+}
+
+Result<std::vector<Posting>> InvertedIndex::LoadPostings(
+    std::string_view term) const {
+  auto blob = terms_tree_->Get(term);
+  if (!blob.ok()) {
+    if (blob.status().IsNotFound()) return std::vector<Posting>{};
+    return blob.status();
+  }
+  return DecodePostings(*blob);
 }
 
 Status InvertedIndex::AddDocument(DocId doc,
@@ -136,7 +157,10 @@ Status InvertedIndex::AddDocument(DocId doc,
 Status InvertedIndex::Flush() {
   // Bound handles have nothing pending by construction (AddDocument is
   // rejected), so the implicit Flush in every query is a no-op there.
-  if (pending_.empty() && pending_doc_lengths_.empty()) return Status::Ok();
+  if (pending_.empty() && pending_doc_lengths_.empty() &&
+      watermark_ == durable_watermark_) {
+    return Status::Ok();
+  }
   // Index writes ride the text write domain: with partitioned domains
   // their WAL frames land on stream 1, so an index refresh's fsync can
   // overlap the ingest committer's fsync on stream 0 (single-domain
@@ -157,17 +181,15 @@ Status InvertedIndex::Flush() {
         merged_buffer.push_back(p);
       }
     }
-    std::vector<Posting> existing;
-    auto blob = terms_tree_->Get(term);
-    if (blob.ok()) {
-      BP_ASSIGN_OR_RETURN(existing, DecodePostings(*blob));
-    } else if (!blob.status().IsNotFound()) {
-      return blob.status();
-    }
+    BP_ASSIGN_OR_RETURN(std::vector<Posting> existing, LoadPostings(term));
     std::vector<Posting> merged = MergePostings(existing, merged_buffer);
     BP_RETURN_IF_ERROR(terms_tree_->Put(term, EncodePostings(merged)));
   }
 
+  // The stats advance only once the transaction commits, so a failed
+  // Flush can be retried without counting its documents twice.
+  uint64_t total_docs = total_docs_;
+  uint64_t total_tokens = total_tokens_;
   for (const auto& [doc, length] : pending_doc_lengths_) {
     uint64_t stored = 0;
     auto blob = docs_tree_->Get(OrderedKeyU64(doc));
@@ -176,18 +198,25 @@ Status InvertedIndex::Flush() {
       stored = r.ReadVarint64();
       BP_RETURN_IF_ERROR(r.Finish());
     } else if (blob.status().IsNotFound()) {
-      ++total_docs_;
+      ++total_docs;
     } else {
       return blob.status();
     }
     Writer w;
     w.PutVarint64(stored + length);
     BP_RETURN_IF_ERROR(docs_tree_->Put(OrderedKeyU64(doc), w.data()));
-    total_tokens_ += length;
+    total_tokens += length;
   }
 
-  BP_RETURN_IF_ERROR(SaveStats());
+  Writer stats;
+  stats.PutVarint64(total_docs);
+  stats.PutVarint64(total_tokens);
+  stats.PutVarint64(watermark_);
+  BP_RETURN_IF_ERROR(meta_tree_->Put(kStatsKey, stats.data()));
   BP_RETURN_IF_ERROR(txn.Commit());
+  total_docs_ = total_docs;
+  total_tokens_ = total_tokens;
+  durable_watermark_ = watermark_;
   pending_.clear();
   pending_doc_lengths_.clear();
   return Status::Ok();
@@ -196,11 +225,7 @@ Status InvertedIndex::Flush() {
 Status InvertedIndex::ForEachPosting(
     std::string_view term, const std::function<bool(const Posting&)>& fn) {
   BP_RETURN_IF_ERROR(Flush());
-  auto blob = terms_tree_->Get(term);
-  if (!blob.ok()) {
-    return blob.status().IsNotFound() ? Status::Ok() : blob.status();
-  }
-  BP_ASSIGN_OR_RETURN(std::vector<Posting> postings, DecodePostings(*blob));
+  BP_ASSIGN_OR_RETURN(std::vector<Posting> postings, LoadPostings(term));
   for (const Posting& p : postings) {
     if (!fn(p)) break;
   }
@@ -223,8 +248,17 @@ Result<uint64_t> InvertedIndex::DocumentCount() {
   return total_docs_;
 }
 
+Result<uint64_t> InvertedIndex::TotalTokens() {
+  BP_RETURN_IF_ERROR(Flush());
+  return total_tokens_;
+}
+
 Result<double> InvertedIndex::Idf(std::string_view term) {
   BP_ASSIGN_OR_RETURN(uint64_t df, DocumentFrequency(term));
+  return IdfFor(df);
+}
+
+double InvertedIndex::IdfFor(uint64_t df) const {
   if (df == 0 || total_docs_ == 0) return 0.0;
   double n = static_cast<double>(total_docs_);
   double d = static_cast<double>(df);
@@ -247,10 +281,13 @@ Result<std::vector<ScoredDoc>> InvertedIndex::Search(
 
   std::unordered_map<DocId, double> scores;
   std::unordered_map<DocId, double> doc_len_cache;
+  // One postings fetch per query term: the decoded count is the
+  // document frequency.
   for (const auto& [term, qtf] : query_counts) {
-    BP_ASSIGN_OR_RETURN(double idf, Idf(term));
+    BP_ASSIGN_OR_RETURN(std::vector<Posting> postings, LoadPostings(term));
+    const double idf = IdfFor(postings.size());
     if (idf <= 0.0) continue;
-    BP_RETURN_IF_ERROR(ForEachPosting(term, [&](const Posting& p) {
+    for (const Posting& p : postings) {
       auto it = doc_len_cache.find(p.doc);
       if (it == doc_len_cache.end()) {
         double len = avg_len;
@@ -266,8 +303,7 @@ Result<std::vector<ScoredDoc>> InvertedIndex::Search(
           params_.k1 * (1.0 - params_.b + params_.b * it->second / avg_len);
       scores[p.doc] +=
           qtf * idf * (tf * (params_.k1 + 1.0)) / (tf + norm);
-      return true;
-    }));
+    }
   }
 
   std::vector<ScoredDoc> ranked;

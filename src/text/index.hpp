@@ -9,7 +9,19 @@
 //   <ns>.terms : term -> postings blob (varint count, then per entry:
 //                delta-varint doc id, varint term frequency)
 //   <ns>.docs  : big-endian doc id -> varint token count
-//   <ns>.meta  : "stats" -> (varint total docs, varint total tokens)
+//   <ns>.meta  : "stats" -> (varint total docs, varint total tokens,
+//                varint watermark)
+//
+// The watermark is the caller's high mark over document ids: every id at
+// or below it has been handed to the index (HistorySearcher uses the
+// highest graph node id it has scanned). Flush writes it in the same
+// transaction as the postings it covers, so a crash keeps both or loses
+// both, and a reopened caller resumes exactly where the durable index
+// ends instead of re-adding (and so double-counting) its whole history.
+// A record written by an older build has only the first two fields; the
+// live handle then derives the mark from the highest <ns>.docs key (every
+// indexed document has a docs entry, even one with no tokens, and
+// flushes cover contiguous id ranges) and the next Flush persists it.
 //
 // Writes buffer in memory and merge into the trees on Flush() (documents
 // arrive one page visit at a time, but terms repeat heavily; buffering
@@ -68,8 +80,18 @@ class InvertedIndex {
   // be added at most once; re-adding merges term frequencies.
   util::Status AddDocument(DocId doc, const std::vector<std::string>& tokens);
 
-  // Merges buffered postings into the persistent trees.
+  // Merges buffered postings into the persistent trees, together with
+  // the corpus stats and the watermark, in one transaction. A failed
+  // Flush leaves the buffer, the stats and the watermark as they were,
+  // so it can simply be retried.
   util::Status Flush();
+
+  // The caller's high mark (see the layout comment): covers everything
+  // added so far, flushed or still buffered. AdvanceWatermark raises it
+  // (it never moves down); the next Flush persists it even when no
+  // document arrived with it.
+  uint64_t watermark() const { return watermark_; }
+  void AdvanceWatermark(uint64_t mark);
 
   // BM25-ranked disjunctive (OR) search over the query tokens. Returns up
   // to `k` documents, highest score first (ties by doc id).
@@ -85,6 +107,9 @@ class InvertedIndex {
 
   util::Result<uint64_t> DocumentCount();
 
+  // Sum of all document lengths, the BM25 average-length numerator.
+  util::Result<uint64_t> TotalTokens();
+
   // Inverse document frequency under BM25+1 smoothing; 0 for unseen terms.
   util::Result<double> Idf(std::string_view term);
 
@@ -95,7 +120,9 @@ class InvertedIndex {
       : db_(db), ns_(std::move(ns)) {}
 
   util::Status LoadStats();
-  util::Status SaveStats();
+  // A term's decoded postings; empty for an unseen term.
+  util::Result<std::vector<Posting>> LoadPostings(std::string_view term) const;
+  double IdfFor(uint64_t df) const;
 
   storage::Db& db_;
   std::string ns_;
@@ -112,7 +139,10 @@ class InvertedIndex {
 
   uint64_t total_docs_ = 0;
   uint64_t total_tokens_ = 0;
-  bool stats_loaded_ = false;
+  uint64_t watermark_ = 0;
+  // The mark the stored "stats" record carries (0 when it has none);
+  // Flush has work to do while it lags watermark_.
+  uint64_t durable_watermark_ = 0;
   Bm25Params params_;
 };
 

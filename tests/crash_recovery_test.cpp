@@ -19,6 +19,12 @@
 //      op sequence (plus torn cuts through the next write), restore,
 //      replay, REOPEN, and require the recovered database to be
 //      exactly a transaction boundary state of the merged order.
+//   3. IndexCrashPropertyTest — the text index against the graph it
+//      covers: a ProvenanceDb workload interleaving ingest and index
+//      refreshes, cut at every prefix; after reopening, the index must
+//      equal a from-scratch index over the recovered graph (the
+//      persisted watermark and its postings survive or vanish together,
+//      so no page goes missing and none is counted twice).
 //
 // Runs under TSan and ASan+UBSan in CI like the rest of the suite.
 #include <gtest/gtest.h>
@@ -27,11 +33,16 @@
 #include <string>
 #include <vector>
 
+#include "prov/provenance_db.hpp"
+#include "sim/scenario.hpp"
 #include "storage/btree.hpp"
 #include "storage/db.hpp"
 #include "storage/env.hpp"
 #include "storage/pager.hpp"
+#include "text/index.hpp"
+#include "text/tokenizer.hpp"
 #include "util/serde.hpp"
+#include "util/strings.hpp"
 #include "wal/checkpointer.hpp"
 #include "wal/wal_writer.hpp"
 
@@ -357,6 +368,180 @@ TEST(CrossStreamCrashInjectionPropertyTest,
   // compression enabled in both WAL streams' fold path.
   RunCrossStreamCrashInjection(
       3, 4 << 20, storage::compress::CompressionOptions::Mode::kFast);
+}
+
+// ------------------- text index vs. recovered graph, every prefix
+
+// The durable content of an index: every postings blob, every document
+// length, and the corpus stats (the watermark is left out: a
+// from-scratch build sets its own).
+struct IndexImage {
+  std::map<std::string, std::string> terms;
+  std::map<std::string, std::string> docs;
+  uint64_t total_docs = 0;
+  uint64_t total_tokens = 0;
+  bool operator==(const IndexImage&) const = default;
+};
+
+IndexImage ReadIndex(Db& db) {
+  IndexImage out;
+  auto read_tree = [&db](const std::string& name,
+                         std::map<std::string, std::string>* into) {
+    auto tree = db.OpenTree(name);
+    ASSERT_TRUE(tree.ok()) << name;
+    ASSERT_TRUE((*tree)
+                    ->ForEach([&](std::string_view key, std::string_view v) {
+                      into->emplace(std::string(key), std::string(v));
+                      return true;
+                    })
+                    .ok());
+  };
+  read_tree("textindex.terms", &out.terms);
+  read_tree("textindex.docs", &out.docs);
+  auto meta = db.OpenTree("textindex.meta");
+  EXPECT_TRUE(meta.ok());
+  auto stats = (*meta)->Get("stats");
+  if (stats.ok()) {
+    util::Reader r(*stats);
+    out.total_docs = r.ReadVarint64();
+    out.total_tokens = r.ReadVarint64();
+  }
+  return out;
+}
+
+// Indexes every page of `store` into a fresh database, the way the
+// searcher does (URL and title as one document).
+IndexImage IndexFromScratch(prov::ProvStore& store) {
+  MemEnv env;
+  DbOptions opts;
+  opts.env = &env;
+  auto db = Db::Open("scratch", opts);
+  EXPECT_TRUE(db.ok());
+  auto index = text::InvertedIndex::Open(**db, "textindex");
+  EXPECT_TRUE(index.ok());
+  graph::NodeCursor cur = store.graph().Nodes(1);
+  for (; cur.Valid(); cur.Next()) {
+    if (cur.node().kind() != static_cast<uint32_t>(prov::NodeKind::kPage)) {
+      continue;
+    }
+    auto attrs = cur.node().attrs();
+    EXPECT_TRUE(attrs.ok());
+    std::string doc(attrs->StringOr(prov::kAttrUrl, ""));
+    doc += ' ';
+    doc += attrs->StringOr(prov::kAttrTitle, "");
+    EXPECT_TRUE(
+        (*index)->AddDocument(cur.node().id(), text::Tokenize(doc)).ok());
+  }
+  EXPECT_TRUE(cur.status().ok());
+  EXPECT_TRUE((*index)->Flush().ok());
+  return ReadIndex(**db);
+}
+
+// Ten short browsing sessions; the index is refreshed (by a text query)
+// after some of them and left stale after others, so crash points land
+// inside ingest commits, inside index commits, and between the two.
+void RunIndexCrashInjection(uint32_t write_domains, uint32_t group_commit,
+                            uint64_t checkpoint_bytes) {
+  MemEnv env;
+  prov::ProvenanceDb::Options options;
+  options.db.env = &env;
+  options.db.write_domains = write_domains;
+  options.db.wal_group_commit = group_commit;
+  options.db.wal_checkpoint_bytes = checkpoint_bytes;
+  options.async.enabled = false;
+  {
+    auto db = prov::ProvenanceDb::Open("prov.db", options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ASSERT_TRUE((*db)->Close().ok());
+  }
+  auto base = env.SnapshotAll();
+
+  std::vector<MemEnvOp> ops;
+  uint64_t pages_ingested = 0;
+  {
+    env.StartOpLog();
+    auto db = prov::ProvenanceDb::Open("prov.db", options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    sim::ScenarioBuilder s;
+    for (int session = 0; session < 10; ++session) {
+      const size_t first = s.events().size();
+      const std::string topic = "topic" + std::to_string(session % 4);
+      uint64_t search = s.Search(1, topic + " guide");
+      uint64_t results = s.Visit(
+          1, util::StrFormat("https://search.example/q%d", session),
+          topic + " guide results", capture::NavigationAction::kSearchResult,
+          0, search);
+      uint64_t page = s.Visit(
+          1, util::StrFormat("http://site%d.example/%s", session % 3,
+                             topic.c_str()),
+          topic + " article " + std::to_string(session),
+          capture::NavigationAction::kLink, results);
+      // A page whose URL and title yield no tokens still counts as a
+      // document.
+      s.Visit(1, util::StrFormat("http://e%d.x/", session), "",
+              capture::NavigationAction::kLink, page);
+      s.Wait(util::Seconds(30));
+      pages_ingested += 3;
+      std::vector<capture::BrowserEvent> batch(s.events().begin() + first,
+                                               s.events().end());
+      ASSERT_TRUE((*db)->IngestAll(batch).ok());
+      if (session % 3 != 1) {
+        ASSERT_TRUE((*db)->TextualSearch(topic).ok());
+      }
+    }
+    // Stop before Close, so the window ends at the last commit.
+    ops = env.StopOpLog();
+  }
+  ASSERT_GT(ops.size(), 20u);
+
+  size_t checked = 0;
+  for (size_t p = 0; p <= ops.size(); ++p) {
+    std::vector<int64_t> cuts = {-1};
+    if (p < ops.size() && ops[p].kind == MemEnvOp::Kind::kWrite) {
+      int64_t len = static_cast<int64_t>(ops[p].data.size());
+      for (int64_t cut : {int64_t{1}, len / 2, len - 1}) {
+        if (cut > 0 && cut < len) cuts.push_back(cut);
+      }
+    }
+    for (int64_t partial : cuts) {
+      env.RestoreAll(base);
+      ASSERT_TRUE(env.ApplyOps(ops, p, partial).ok());
+      auto db = prov::ProvenanceDb::Open("prov.db", options);
+      ASSERT_TRUE(db.ok()) << "crash at op " << p << " cut " << partial
+                           << ": " << db.status().ToString();
+      IndexImage recovered = ReadIndex((*db)->db());
+      IndexImage expected = IndexFromScratch((*db)->store());
+      EXPECT_EQ(recovered.total_docs, expected.total_docs)
+          << "crash at op " << p << " cut " << partial;
+      EXPECT_EQ(recovered.total_tokens, expected.total_tokens)
+          << "crash at op " << p << " cut " << partial;
+      EXPECT_TRUE(recovered == expected)
+          << "crash at op " << p << " cut " << partial << ": "
+          << recovered.docs.size() << " indexed docs, "
+          << expected.docs.size() << " pages";
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, ops.size());
+  // The full log recovers every page.
+  env.RestoreAll(base);
+  ASSERT_TRUE(env.ApplyOps(ops, ops.size(), -1).ok());
+  auto db = prov::ProvenanceDb::Open("prov.db", options);
+  ASSERT_TRUE(db.ok());
+  EXPECT_EQ(*(*db)->searcher().index().DocumentCount(), pages_ingested);
+}
+
+TEST(IndexCrashPropertyTest, OneStreamEveryPrefix) {
+  // Ingest and index commits share one log; small checkpoint threshold
+  // so folds land inside the window too.
+  RunIndexCrashInjection(1, 1, 24 * kPageSize);
+}
+
+TEST(IndexCrashPropertyTest, TwoStreamsGroupedEveryPrefix) {
+  // The facade's default layout: index refreshes on their own stream,
+  // group commit open across both, so one stream's tail can be torn
+  // while the other's survived.
+  RunIndexCrashInjection(2, 3, 4 << 20);
 }
 
 }  // namespace

@@ -12,10 +12,15 @@
 
 #include "places/places.hpp"
 #include "prov/provenance_db.hpp"
+#include "sim/browser.hpp"
 #include "sim/scenario.hpp"
+#include "sim/vocab.hpp"
+#include "sim/web.hpp"
 #include "storage/buffer_pool.hpp"
 #include "storage/env.hpp"
+#include "text/tokenizer.hpp"
 #include "util/serde.hpp"
+#include "util/strings.hpp"
 
 namespace bp::prov {
 namespace {
@@ -662,6 +667,260 @@ TEST_F(ProvenanceDbTest, CloseRefusesWhileASnapshotViewIsLive) {
     EXPECT_TRUE(view->Search("rosebud").ok());
   }
   EXPECT_TRUE(db_->Close().ok());
+}
+
+// ---------------------------------------------------- reopen stability
+//
+// The text index persists its watermark with its postings, so reopening
+// a profile must neither re-index its history (which would add every
+// term frequency and document length a second time) nor commit anything.
+
+// A few simulated days: enough pages that a doubled index would move
+// BM25 ranks, small enough for the sanitizer jobs.
+sim::SimOutput SmallHistory() {
+  util::Rng rng(5);
+  sim::Vocabulary vocab = sim::Vocabulary::Create(rng, {});
+  sim::WebConfig web_config;
+  web_config.sites_per_topic = 3;
+  web_config.pages_per_site = 20;
+  sim::WebGraph web = sim::WebGraph::Generate(rng, web_config, vocab);
+  sim::UserConfig user;
+  user.seed = 11;
+  user.days = 4;
+  return sim::BrowserSim(web, user).Run();
+}
+
+std::vector<std::string> HistoryQueries(const sim::SimOutput& history) {
+  std::vector<std::string> queries;
+  for (const auto& episode : history.searches) {
+    queries.push_back(episode.query);
+    if (queries.size() >= 8) break;
+  }
+  return queries;
+}
+
+// Everything a reopen must leave unchanged: the corpus stats, the
+// postings of every query term, and the answer of every text-backed
+// query family (scores compared bit for bit).
+struct IndexFingerprint {
+  uint64_t docs = 0;
+  uint64_t tokens = 0;
+  std::vector<std::string> postings;
+  std::vector<std::string> answers;
+  bool operator==(const IndexFingerprint&) const = default;
+};
+
+IndexFingerprint Fingerprint(ProvenanceDb& db,
+                             const std::vector<std::string>& queries) {
+  IndexFingerprint out;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    auto search = db.Search(queries[i]);
+    EXPECT_TRUE(search.ok()) << search.status().ToString();
+    std::string answer = "search:";
+    for (const auto& page : search->pages) {
+      answer += util::StrFormat(" %llu=%a", (unsigned long long)page.page,
+                                page.total);
+    }
+    out.answers.push_back(answer);
+
+    auto personalized = db.Personalize(queries[i]);
+    EXPECT_TRUE(personalized.ok()) << personalized.status().ToString();
+    answer = "personalize: " + personalized->AugmentedQuery();
+    for (const auto& candidate : personalized->candidates) {
+      answer += util::StrFormat(" %s=%a", candidate.term.c_str(),
+                                candidate.score);
+    }
+    out.answers.push_back(answer);
+
+    auto timed = db.TimeContext(queries[i], queries[(i + 1) % queries.size()]);
+    EXPECT_TRUE(timed.ok()) << timed.status().ToString();
+    answer = "time:";
+    for (const auto& match : timed->matches) {
+      answer += util::StrFormat(" %llu=%a/%d",
+                                (unsigned long long)match.page.page,
+                                match.page.total, match.co_open ? 1 : 0);
+    }
+    out.answers.push_back(answer);
+  }
+  text::InvertedIndex& index = db.searcher().index();
+  out.docs = *index.DocumentCount();
+  out.tokens = *index.TotalTokens();
+  for (const std::string& query : queries) {
+    for (const std::string& term : text::Tokenize(query)) {
+      std::string line = term + ":";
+      EXPECT_TRUE(index
+                      .ForEachPosting(term,
+                                      [&](const text::Posting& p) {
+                                        line += util::StrFormat(
+                                            " %llu/%u",
+                                            (unsigned long long)p.doc, p.tf);
+                                        return true;
+                                      })
+                      .ok());
+      out.postings.push_back(line);
+    }
+  }
+  return out;
+}
+
+uint64_t PageNodeCount(ProvenanceDb& db) {
+  uint64_t pages = 0;
+  graph::NodeCursor cur = db.store().graph().Nodes(1);
+  for (; cur.Valid(); cur.Next()) {
+    if (cur.node().kind() == static_cast<uint32_t>(NodeKind::kPage)) ++pages;
+  }
+  EXPECT_TRUE(cur.status().ok());
+  return pages;
+}
+
+TEST_F(ProvenanceDbTest, CleanReopenIndexesNothingAndKeepsEveryAnswer) {
+  const sim::SimOutput history = SmallHistory();
+  const std::vector<std::string> queries = HistoryQueries(history);
+  ASSERT_GE(queries.size(), 4u);
+  ProvenanceDb::Options options;
+  options.db.env = &env_;
+
+  IndexFingerprint before;
+  {
+    auto db = ProvenanceDb::Open("reopen.db", options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ASSERT_TRUE((*db)->IngestAll(history.events).ok());
+    before = Fingerprint(**db, queries);
+    EXPECT_EQ(before.docs, PageNodeCount(**db));
+    ASSERT_TRUE((*db)->Close().ok());
+  }
+  ASSERT_GT(before.docs, 50u);
+
+  for (int reopen = 1; reopen <= 3; ++reopen) {
+    SCOPED_TRACE(util::StrFormat("reopen %d", reopen));
+    auto db = ProvenanceDb::Open("reopen.db", options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    // Nothing to catch up: the Open itself committed nothing.
+    EXPECT_EQ((*db)->storage_stats().commits, 0u);
+    IndexFingerprint after = Fingerprint(**db, queries);
+    EXPECT_EQ(after.docs, before.docs);
+    EXPECT_EQ(after.tokens, before.tokens);
+    EXPECT_EQ(after.postings, before.postings);
+    EXPECT_EQ(after.answers, before.answers);
+    // Queries over a clean profile are reads only.
+    EXPECT_EQ((*db)->storage_stats().commits, 0u);
+    ASSERT_TRUE((*db)->Close().ok());
+  }
+}
+
+TEST_F(ProvenanceDbTest, PagesIngestedAcrossReopensAreIndexedExactlyOnce) {
+  const sim::SimOutput history = SmallHistory();
+  const std::vector<std::string> queries = HistoryQueries(history);
+  const size_t third = history.events.size() / 3;
+  const std::vector<capture::BrowserEvent> parts[3] = {
+      {history.events.begin(), history.events.begin() + third},
+      {history.events.begin() + third, history.events.begin() + 2 * third},
+      {history.events.begin() + 2 * third, history.events.end()}};
+  ProvenanceDb::Options options;
+  options.db.env = &env_;
+
+  // Reference: the whole history ingested and indexed in one open.
+  IndexFingerprint reference;
+  {
+    auto db = ProvenanceDb::Open("whole.db", options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ASSERT_TRUE((*db)->IngestAll(history.events).ok());
+    reference = Fingerprint(**db, queries);
+  }
+
+  // The same history over three opens: the first third is indexed by a
+  // query, the second is closed un-indexed (so the next Open catches it
+  // up), and the last is ingested after that catch-up.
+  {
+    auto db = ProvenanceDb::Open("split.db", options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ASSERT_TRUE((*db)->IngestAll(parts[0]).ok());
+    ASSERT_TRUE((*db)->TextualSearch(queries[0]).ok());
+    ASSERT_TRUE((*db)->Close().ok());
+  }
+  {
+    auto db = ProvenanceDb::Open("split.db", options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    EXPECT_EQ((*db)->storage_stats().commits, 0u);
+    ASSERT_TRUE((*db)->IngestAll(parts[1]).ok());
+    ASSERT_TRUE((*db)->Close().ok());
+  }
+  {
+    auto db = ProvenanceDb::Open("split.db", options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    // The un-indexed tail is caught up in one index transaction.
+    EXPECT_EQ((*db)->storage_stats().commits, 1u);
+    ASSERT_TRUE((*db)->IngestAll(parts[2]).ok());
+    IndexFingerprint split = Fingerprint(**db, queries);
+    EXPECT_EQ(split.docs, PageNodeCount(**db));
+    EXPECT_EQ(split.docs, reference.docs);
+    EXPECT_EQ(split.tokens, reference.tokens);
+    EXPECT_EQ(split.postings, reference.postings);
+    EXPECT_EQ(split.answers, reference.answers);
+  }
+}
+
+TEST_F(ProvenanceDbTest, StatsRecordWithoutWatermarkIsNotReindexed) {
+  // Older builds stored "stats" as (total docs, total tokens) only. Such
+  // a database must open without re-adding its history: the watermark
+  // comes from the highest indexed document, and the next index Flush
+  // writes it back.
+  const sim::SimOutput history = SmallHistory();
+  const std::vector<std::string> queries = HistoryQueries(history);
+  ProvenanceDb::Options options;
+  options.db.env = &env_;
+
+  IndexFingerprint before;
+  {
+    auto db = ProvenanceDb::Open("legacy.db", options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ASSERT_TRUE((*db)->IngestAll(history.events).ok());
+    before = Fingerprint(**db, queries);
+    ASSERT_TRUE((*db)->Close().ok());
+  }
+  auto stats_fields = [&] {
+    auto db = storage::Db::Open("legacy.db", options.db);
+    EXPECT_TRUE(db.ok());
+    auto meta = (*db)->OpenTree("textindex.meta");
+    EXPECT_TRUE(meta.ok());
+    auto blob = (*meta)->Get("stats");
+    EXPECT_TRUE(blob.ok());
+    util::Reader r(*blob);
+    std::vector<uint64_t> fields;
+    while (r.ok() && !r.AtEnd()) fields.push_back(r.ReadVarint64());
+    return fields;
+  };
+  {
+    std::vector<uint64_t> fields = stats_fields();
+    ASSERT_EQ(fields.size(), 3u);
+    auto db = storage::Db::Open("legacy.db", options.db);
+    ASSERT_TRUE(db.ok());
+    util::Writer legacy;
+    legacy.PutVarint64(fields[0]);
+    legacy.PutVarint64(fields[1]);
+    ASSERT_TRUE((*(*db)->OpenTree("textindex.meta"))
+                    ->Put("stats", legacy.data())
+                    .ok());
+  }
+  ASSERT_EQ(stats_fields().size(), 2u);
+
+  {
+    auto db = ProvenanceDb::Open("legacy.db", options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    IndexFingerprint after = Fingerprint(**db, queries);
+    EXPECT_EQ(after.docs, before.docs);
+    EXPECT_EQ(after.tokens, before.tokens);
+    EXPECT_EQ(after.postings, before.postings);
+    EXPECT_EQ(after.answers, before.answers);
+    ASSERT_TRUE((*db)->Close().ok());
+  }
+  // The open persisted the derived watermark: the record has its third
+  // field again, and the next open has nothing to write.
+  EXPECT_EQ(stats_fields().size(), 3u);
+  auto db = ProvenanceDb::Open("legacy.db", options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_EQ((*db)->storage_stats().commits, 0u);
+  EXPECT_EQ(Fingerprint(**db, queries), before);
 }
 
 }  // namespace

@@ -200,6 +200,116 @@ TEST_F(IndexTest, PersistsAcrossReopen) {
   EXPECT_EQ(*(*index)->DocumentCount(), 1u);
 }
 
+TEST_F(IndexTest, SearchScoresAreExactBm25) {
+  // One postings fetch per query term must score exactly as the
+  // per-term Idf() + document-length formula: compared bit for bit.
+  const std::vector<std::string> docs = {
+      "wine wine cellar", "wine tasting notes on long trips", "cellar door",
+      "unrelated words only"};
+  std::vector<double> lens;
+  uint64_t total = 0;
+  for (size_t i = 0; i < docs.size(); ++i) {
+    Add(i + 1, docs[i]);
+    lens.push_back(static_cast<double>(Tokenize(docs[i]).size()));
+    total += Tokenize(docs[i]).size();
+  }
+  const double avg_len = static_cast<double>(total) / 4.0;
+  const Bm25Params params = index_->params();
+  auto bm25 = [&](const char* term, double tf, double len) {
+    const double idf = *index_->Idf(term);
+    const double norm =
+        params.k1 * (1.0 - params.b + params.b * len / avg_len);
+    return 1.0 * idf * (tf * (params.k1 + 1.0)) / (tf + norm);
+  };
+  ASSERT_EQ(*index_->TotalTokens(), total);
+  ASSERT_EQ(*index_->DocumentCount(), 4u);
+
+  auto wine = index_->Search({"wine"}, 10);
+  ASSERT_TRUE(wine.ok());
+  ASSERT_EQ(wine->size(), 2u);
+  EXPECT_EQ((*wine)[0].doc, 1u);
+  EXPECT_EQ((*wine)[0].score, bm25("wine", 2.0, lens[0]));
+  EXPECT_EQ((*wine)[1].doc, 2u);
+  EXPECT_EQ((*wine)[1].score, bm25("wine", 1.0, lens[1]));
+
+  // Terms that share no document: each score is one term's weight.
+  auto mixed = index_->Search({"door", "tasting"}, 10);
+  ASSERT_TRUE(mixed.ok());
+  ASSERT_EQ(mixed->size(), 2u);
+  for (const ScoredDoc& hit : *mixed) {
+    if (hit.doc == 3) {
+      EXPECT_EQ(hit.score, bm25("door", 1.0, lens[2]));
+    } else {
+      EXPECT_EQ(hit.doc, 2u);
+      EXPECT_EQ(hit.score, bm25("tasting", 1.0, lens[1]));
+    }
+  }
+}
+
+TEST_F(IndexTest, WatermarkPersistsWithThePostings) {
+  EXPECT_EQ(index_->watermark(), 0u);
+  Add(3, "first batch");
+  index_->AdvanceWatermark(5);
+  index_->AdvanceWatermark(4);  // never moves down
+  EXPECT_EQ(index_->watermark(), 5u);
+  ASSERT_TRUE(index_->Flush().ok());
+  // A mark with no documents behind it still commits on Flush, and a
+  // Flush with nothing new commits nothing.
+  index_->AdvanceWatermark(9);
+  uint64_t commits = db_->pager().stats().commits;
+  ASSERT_TRUE(index_->Flush().ok());
+  EXPECT_EQ(db_->pager().stats().commits, commits + 1);
+  ASSERT_TRUE(index_->Flush().ok());
+  EXPECT_EQ(db_->pager().stats().commits, commits + 1);
+  index_.reset();
+  auto index = InvertedIndex::Open(*db_, "hist");
+  ASSERT_TRUE(index.ok());
+  EXPECT_EQ((*index)->watermark(), 9u);
+  EXPECT_EQ(*(*index)->DocumentCount(), 1u);
+  EXPECT_EQ(*(*index)->TotalTokens(), 2u);
+}
+
+TEST_F(IndexTest, UnflushedWatermarkIsLostWithItsDocuments) {
+  Add(1, "kept");
+  index_->AdvanceWatermark(1);
+  ASSERT_TRUE(index_->Flush().ok());
+  Add(2, "dropped");
+  index_->AdvanceWatermark(2);
+  index_.reset();  // closed without a Flush: the tail was never durable
+  auto index = InvertedIndex::Open(*db_, "hist");
+  ASSERT_TRUE(index.ok());
+  EXPECT_EQ((*index)->watermark(), 1u);
+  EXPECT_EQ(*(*index)->DocumentCount(), 1u);
+  EXPECT_EQ(*(*index)->DocumentFrequency("dropped"), 0u);
+}
+
+TEST_F(IndexTest, LegacyStatsRecordDerivesWatermarkFromDocs) {
+  // Two-field record from an older build: the mark is the highest docs
+  // key, including a document that had no tokens at all.
+  Add(2, "alpha beta");
+  Add(7, "");
+  ASSERT_TRUE(index_->Flush().ok());
+  util::Writer legacy;
+  legacy.PutVarint64(2);  // total docs
+  legacy.PutVarint64(2);  // total tokens
+  ASSERT_TRUE((*db_->OpenTree("hist.meta"))->Put("stats", legacy.data()).ok());
+  index_.reset();
+
+  auto index = InvertedIndex::Open(*db_, "hist");
+  ASSERT_TRUE(index.ok());
+  EXPECT_EQ((*index)->watermark(), 7u);
+  EXPECT_EQ(*(*index)->TotalTokens(), 2u);
+  // Persisted by the next Flush, which has the mark as its only news.
+  ASSERT_TRUE((*index)->Flush().ok());
+  auto blob = (*db_->OpenTree("hist.meta"))->Get("stats");
+  ASSERT_TRUE(blob.ok());
+  util::Reader r(*blob);
+  EXPECT_EQ(r.ReadVarint64(), 2u);
+  EXPECT_EQ(r.ReadVarint64(), 2u);
+  EXPECT_EQ(r.ReadVarint64(), 7u);
+  EXPECT_TRUE(r.Finish().ok());
+}
+
 TEST_F(IndexTest, LargePostingsListSurvivesOverflowPages) {
   // Enough postings for one term to exceed an inline cell (forces the
   // B+tree overflow path under the index).
