@@ -26,6 +26,11 @@ enough to absorb runner variance, tight enough to catch an
 order-of-magnitude tail blow-up. Raw throughput numbers are diffed for
 the log but never gated.
 
+A "lower" gate against a baseline of 0 has no relative scale. With
+tolerance 0 it fails on any nonzero current value (a count that must
+stay 0); with any other tolerance it is reported as zero-base and
+skipped, so measurement granularity alone cannot fail it.
+
 A tracked metric that is missing from the current run, the baseline, or
 both is a hard failure: silently dropping an instrumented number is
 exactly the regression this gate exists to catch.
@@ -148,7 +153,7 @@ def main():
                       f"{delta:+7.1%}  info")
                 continue
             direction, tolerance = gate
-            if direction == "lower" and base == 0:
+            if direction == "lower" and base == 0 and tolerance != 0:
                 # No relative comparison is possible against a zero
                 # baseline; failing on ANY nonzero current would make
                 # the gate fire on measurement granularity alone.

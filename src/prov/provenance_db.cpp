@@ -1,7 +1,6 @@
 #include "prov/provenance_db.hpp"
 
 #include <algorithm>
-#include <thread>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -72,7 +71,6 @@ Result<std::unique_ptr<ProvenanceDb>> ProvenanceDb::Open(
   // Stand the async pipeline up LAST: its committer thread reaches into
   // every member above from the moment it starts.
   out->drain_before_query_ = options.async.drain_before_query;
-  out->index_min_backlog_ = options.async.index_min_backlog;
   if (options.async.enabled) {
     capture::PipelineOptions popts;
     popts.queue_capacity = options.async.queue_capacity;
@@ -84,16 +82,12 @@ Result<std::unique_ptr<ProvenanceDb>> ProvenanceDb::Open(
           util::Result<IngestTicket> ticket = raw->IngestAsync(event);
           return ticket.ok() ? util::Status::Ok() : ticket.status();
         });
-    capture::IngestPipeline::MaintenanceFn maintenance;
-    if (options.async.index_maintenance) {
-      maintenance = [raw] { return raw->MaintainIndex(); };
-    }
     out->pipeline_ = std::make_unique<capture::IngestPipeline>(
         popts,
         [raw](std::vector<capture::BrowserEvent>&& events, size_t backlog) {
           return raw->CommitEventBatch(std::move(events), backlog);
         },
-        [raw] { return raw->SyncPipeline(); }, std::move(maintenance));
+        [raw] { return raw->SyncPipeline(); });
     // Export the pipeline's own counters at dump time (the Pager
     // registers its collector itself in Pager::Open). Safe raw capture:
     // the destructor removes the collector before touching pipeline_.
@@ -120,8 +114,6 @@ Result<std::unique_ptr<ProvenanceDb>> ProvenanceDb::Open(
       sink.Gauge("bp_ingest_mean_queue_depth", labels,
                  "Mean queue depth over enqueue/pop samples",
                  p.mean_queue_depth);
-      sink.Counter("bp_ingest_maintenance_runs", labels,
-                   "Background index-maintenance passes", p.maintenance_runs);
     });
   }
   return out;
@@ -225,13 +217,6 @@ capture::PipelineStats ProvenanceDb::pipeline_stats() const {
 Result<bool> ProvenanceDb::CommitEventBatch(
     std::vector<capture::BrowserEvent>&& events, size_t backlog) {
   (void)backlog;  // batch size already adapted by the pipeline's pop
-  // Hand the writer lock to a maintenance pass that is already waiting
-  // for it. Without this the committer, which re-locks mu_ microseconds
-  // after releasing it, wins nearly every race and the index lane
-  // starves for as long as the queue stays deep.
-  while (maintenance_waiting_.load(std::memory_order_acquire)) {
-    std::this_thread::yield();
-  }
   util::MutexLock lock(mu_);
   BP_RETURN_IF_ERROR(PublishBatchLocked(events));
   // Durable already? True when the commit filled and flushed the
@@ -240,14 +225,12 @@ Result<bool> ProvenanceDb::CommitEventBatch(
 }
 
 // Deliberately NOT under mu_: FlushPending only takes the pager's
-// per-domain stream mutexes (WalWriter::Sync is the cross-thread half
-// of the WAL protocol), so the committer's group-close fsync can
-// overlap a maintenance-lane refresh running under mu_ — and the
-// maintenance fsync of stream 1 can overlap this one on stream 0.
-// Ack correctness is untouched: FlushPending syncs EVERY domain, and
-// any commit sequenced before the committer's last batch is visible to
-// its unsynced-count loads (the committer held mu_ for that batch
-// after the earlier commit released it).
+// wal_mu_ (WalWriter::Sync is the cross-thread half of the WAL
+// protocol), so the committer's group-close fsync can overlap a query's
+// index refresh or a synchronous Ingest running under mu_. Any commit
+// sequenced before the committer's last batch is visible to its
+// unsynced-count load (the committer held mu_ for that batch after the
+// earlier commit released it).
 Status ProvenanceDb::SyncPipeline() {
   return db_->pager().FlushPending().status();
 }
@@ -256,7 +239,6 @@ Status ProvenanceDb::Ingest(const capture::BrowserEvent& event) {
   util::MutexLock lock(mu_);
   if (closed_.load(std::memory_order_acquire)) return ClosedError();
   index_stale_ = true;
-  ++stale_events_;
   return bus_.Publish(event);
 }
 
@@ -275,7 +257,6 @@ Status ProvenanceDb::IngestAll(
 Status ProvenanceDb::PublishBatchLocked(
     std::span<const capture::BrowserEvent> events) {
   index_stale_ = true;
-  stale_events_ += events.size();
   ProvStore::IngestBatch batch(*store_);
   for (const capture::BrowserEvent& event : events) {
     // On a sink failure ~IngestBatch rolls the whole transaction back,
@@ -296,32 +277,7 @@ Status ProvenanceDb::RefreshIndex() {
   if (!index_stale_) return Status::Ok();
   BP_RETURN_IF_ERROR(searcher_->IndexNewPages());
   index_stale_ = false;
-  stale_events_ = 0;
   return Status::Ok();
-}
-
-// Maintenance thread (async.index_maintenance): the refresh transaction
-// itself runs under mu_ like any writer — InvertedIndex::Flush routes
-// its WAL frames to the TEXT domain's stream — but the durability step
-// happens AFTER mu_ is released, so this thread's fsync of stream 1
-// overlaps the committer's group-commit fsync of stream 0. On a
-// single-stream database the domain sync below is a no-op (nothing was
-// routed to stream 1) and the refresh rides the next ack like any
-// other commit.
-Status ProvenanceDb::MaintainIndex() {
-  {
-    maintenance_waiting_.store(true, std::memory_order_release);
-    util::MutexLock lock(mu_);
-    maintenance_waiting_.store(false, std::memory_order_release);
-    if (closed_.load(std::memory_order_acquire)) return Status::Ok();
-    if (!index_stale_ || stale_events_ < index_min_backlog_) {
-      return Status::Ok();  // not enough backlog to be worth a pass
-    }
-    BP_RETURN_IF_ERROR(RefreshIndex());
-  }
-  // Close() joins this thread (via the pipeline) before db_ is torn
-  // down, so the unlocked access is safe.
-  return db_->pager().SyncWalDomain(storage::kTextDomain);
 }
 
 Status ProvenanceDb::Sync() {

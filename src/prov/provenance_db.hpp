@@ -110,31 +110,16 @@ class ProvenanceDb {
       // synchronous path. Turn off to let queries run against whatever
       // has committed (lower query latency under sustained ingest).
       bool drain_before_query = true;
-      // Background index maintenance lane: a second pipeline thread,
-      // woken after every committed ingest batch, refreshes the lazy
-      // text index in its own write-domain transaction (WAL stream 1)
-      // and fsyncs that stream OUTSIDE the writer mutex — so the index
-      // refresh's fsync overlaps the ingest committer's fsync on
-      // stream 0 instead of serializing behind it. Queries keep their
-      // lazy refresh as a backstop; this just moves the work off the
-      // query path. Requires async.enabled; no-op when the database
-      // was opened with a single write domain.
+      // Read by nothing: the text index is refreshed lazily by the
+      // queries that need it, and there is no background lane. The two
+      // fields stay only so callers that still set them (the perfbench
+      // harness) keep compiling.
       bool index_maintenance = false;
-      // Backlog gate: skip a maintenance pass until at least this many
-      // events have been ingested since the last index refresh (avoids
-      // re-walking the index trees for every tiny batch).
       size_t index_min_backlog = 1024;
     };
     AsyncOptions async;
 
-    Options() {
-      db.wal_group_commit = 8;
-      // Partitioned write domains: graph/prov/places commits ride
-      // stream 0, lazy text-index refreshes stream 1 (see
-      // storage/pager.hpp). Single-stream layouts remain readable; set
-      // to 1 to get the pre-partitioned behavior.
-      db.write_domains = 2;
-    }
+    Options() { db.wal_group_commit = 8; }
   };
 
   // Opens (creating if needed) the full stack at `path`. Rejects
@@ -429,10 +414,6 @@ class ProvenanceDb {
   std::unique_ptr<search::HistorySearcher> searcher_;
   size_t ingest_batch_ = 256;
   bool index_stale_ BP_GUARDED_BY(mu_) = false;
-  // Events ingested since the last index refresh — the maintenance
-  // lane's backlog gate (see AsyncOptions::index_min_backlog).
-  size_t stale_events_ BP_GUARDED_BY(mu_) = 0;
-  size_t index_min_backlog_ = 1024;
 
   // --- async ingest pipeline ---------------------------------------
   // The committer-thread callbacks behind the pipeline: one storage
@@ -440,15 +421,6 @@ class ProvenanceDb {
   util::Result<bool> CommitEventBatch(
       std::vector<capture::BrowserEvent>&& events, size_t backlog);
   util::Status SyncPipeline();
-  // Maintenance-lane callback (async.index_maintenance): refreshes the
-  // text index under mu_ — the refresh transaction rides the TEXT write
-  // domain (WAL stream 1) — then fsyncs that stream OUTSIDE mu_, so the
-  // fsync overlaps the committer's stream-0 group commit. Gated on
-  // index_min_backlog_ events since the last refresh.
-  util::Status MaintainIndex();
-  // Set while MaintainIndex waits for mu_; the committer yields to it
-  // (see CommitEventBatch).
-  std::atomic<bool> maintenance_waiting_{false};
 
   bool drain_before_query_ = true;
   std::unique_ptr<capture::AsyncSink> async_sink_;

@@ -31,10 +31,9 @@ struct DbOptions {
   // bursts of small transactions (batched provenance ingest).
   uint32_t wal_group_commit = 1;
   uint64_t wal_checkpoint_bytes = 4 << 20;
-  // Partitioned write domains (see PagerOptions): each domain
-  // owns its own log stream and group-commit clock, so committers on
-  // different domains overlap their fsyncs. 1 = the single-stream
-  // layout; clamped to [1, kMaxWriteDomains].
+  // Read by nothing: every commit goes to the one log, <path>.wal. The
+  // field stays only so callers that still set it (the perfbench
+  // harness) keep compiling.
   uint32_t write_domains = 1;
   // Versioned buffer pool shared by the whole read path (see
   // PagerOptions). pool_bytes = 0 disables it; buffer_pool (when set)

@@ -161,11 +161,7 @@ Status InvertedIndex::Flush() {
       watermark_ == durable_watermark_) {
     return Status::Ok();
   }
-  // Index writes ride the text write domain: with partitioned domains
-  // their WAL frames land on stream 1, so an index refresh's fsync can
-  // overlap the ingest committer's fsync on stream 0 (single-domain
-  // pagers route this back to domain 0; see Pager::Begin).
-  AutoTxn txn(db_.pager(), storage::kTextDomain);
+  AutoTxn txn(db_.pager());
 
   for (auto& [term, postings] : pending_) {
     std::sort(postings.begin(), postings.end(),

@@ -47,31 +47,6 @@ Status WriteImage(File* db_file, PageId id, const std::string& image,
 
 }  // namespace
 
-Result<CheckpointResult> Checkpointer::Fold(
-    Env* env, File* db_file, const std::string& wal_path, bool sync,
-    const CompressionOptions& compression) {
-  CheckpointResult result;
-  auto contents = WalReader::ReadCommitted(env, wal_path);
-  if (!contents.ok()) {
-    if (contents.status().IsNotFound()) return result;  // nothing to fold
-    return contents.status();
-  }
-  if (contents->commits == 0) return result;
-
-  for (const auto& [id, image] : contents->pages) {
-    BP_RETURN_IF_ERROR(WriteImage(db_file, id, image, compression, &result));
-  }
-  if (sync) {
-    BP_RETURN_IF_ERROR(db_file->Sync());
-    result.synced_db = true;
-  }
-  result.ran = true;
-  result.commits = contents->commits;
-  result.last_commit_seq = contents->last_commit_seq;
-  result.page_count = contents->last_page_count;
-  return result;
-}
-
 Result<CheckpointResult> Checkpointer::FoldStreams(
     Env* env, File* db_file, const std::vector<std::string>& stream_paths,
     bool sync, const CompressionOptions& compression) {

@@ -1,13 +1,13 @@
 // Checkpointer: folds the committed contents of write-ahead log
 // streams back into the main database file.
 //
-// Protocol (both call sites follow it; Fold/FoldStreams only do step 2):
+// Protocol (both call sites follow it; FoldStreams only does step 2):
 //   1. The caller makes sure the log is durable (WalWriter::Sync) — the
 //      log must always be AHEAD of the database file, otherwise a crash
 //      could leave the database holding pages from a transaction the log
 //      does not know committed. (During open-time crash recovery there
 //      is nothing to sync: whatever survived IS the log.)
-//   2. Fold()/FoldStreams() write committed page images from the log(s)
+//   2. FoldStreams() writes committed page images from the log(s)
 //      into the database file, then fsync it (when sync=true; a caller
 //      that wants to append its own header patch to the same fsync
 //      passes sync=false and syncs the db file itself).
@@ -18,7 +18,10 @@
 //      a crash mid-step-3 at most re-creates a gap above the already-
 //      durable fold, which folds nothing).
 //
-// FoldStreams merges several domain streams into ONE total order:
+// A database writes one stream, <db>.wal. Builds that split commits
+// over two streams may have left a <db>.wal1 beside it, so recovery
+// hands FoldStreams both paths and it merges them into ONE total order
+// (with one stream the merge is just that stream's committed prefix):
 //   B = max(base_seq over present streams)   — everything at or below B
 //       is already in the database file (base_seq records the commit
 //       sequence the db contained when the stream was (re)created);
@@ -31,7 +34,7 @@
 //       MUTUALLY CONSISTENT merged sequence across all streams.
 //
 // Used at two points: Pager::Open (crash recovery = a fold of whatever
-// committed prefix survives) and at runtime when the logs cross the
+// committed prefix survives) and at runtime when the log crosses the
 // size threshold or the pager closes cleanly.
 #pragma once
 
@@ -63,23 +66,15 @@ struct CheckpointResult {
 
 class Checkpointer {
  public:
-  // Folds committed frames of the single stream `wal_path` into
-  // `db_file` (step 2 above). When `compression` is enabled, eligible
-  // pages (never page 0 — the header is read before any decoder exists)
-  // are folded as self-describing compressed frames, zero-padded to the
-  // page slot; incompressible pages (ratio floor) stay raw. Folding is
-  // still idempotent: refolding the same images rewrites byte-identical
-  // slots.
-  static util::Result<CheckpointResult> Fold(
-      Env* env, storage::File* db_file, const std::string& wal_path,
-      bool sync, const storage::compress::CompressionOptions& compression =
-                     storage::compress::CompressionOptions{
-                         storage::compress::CompressionOptions::Mode::kOff});
-
-  // Folds the merged, mutually consistent prefix of several domain
-  // streams into `db_file` (see file header). Missing stream files are
-  // skipped; a Corruption from any present stream's file header is
-  // propagated. `compression` as for Fold.
+  // Folds the merged, mutually consistent prefix of the streams at
+  // `stream_paths` into `db_file` (step 2 above; merge rule in the file
+  // header). Missing stream files are skipped; a Corruption from any
+  // present stream's file header is propagated. When `compression` is
+  // enabled, eligible pages (never page 0 — the header is read before
+  // any decoder exists) are folded as self-describing compressed
+  // frames, zero-padded to the page slot; incompressible pages (ratio
+  // floor) stay raw. Folding is still idempotent: refolding the same
+  // images rewrites byte-identical slots.
   static util::Result<CheckpointResult> FoldStreams(
       Env* env, storage::File* db_file,
       const std::vector<std::string>& stream_paths, bool sync,

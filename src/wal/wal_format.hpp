@@ -1,13 +1,16 @@
 // On-disk format of a write-ahead log stream.
 //
-// A database owns one WAL stream per WRITE DOMAIN (stream 0 lives at
-// <db path>.wal, stream N at <db path>.walN). Each stream is a
-// sequential, checksummed redo log with its own LSN sequence and its own
+// A database writes one WAL stream, stream 0 at <db path>.wal. It is a
+// sequential, checksummed redo log with its own LSN sequence and a
 // chained checksum. A committing transaction appends one kPageImage
-// frame per dirty page followed by a kCommit frame — all to the stream
-// its write domain owns, in a single File::Write; durability costs at
-// most one fsync per stream (and, with group commit, one fsync per
-// *window* of transactions).
+// frame per dirty page followed by a kCommit frame in a single
+// File::Write; durability costs at most one fsync per transaction (and,
+// with group commit, one fsync per *window* of transactions).
+//
+// The header's stream id and base sequence date from builds that split
+// commits over several streams (stream N at <db path>.walN). The format
+// keeps them so recovery can still merge a stream 1 such a build left
+// behind.
 //
 // Layout:
 //   file header:  magic u32 | version u32 | page_size u32 | salt u64 |

@@ -18,17 +18,17 @@
 // layer up by the serialization on ProvenanceDb's writer mutex, the same
 // external contract the Pager's own unguarded write-path members rely
 // on. Sync(), however, may be called from a DIFFERENT thread than the
-// one appending (the index-maintenance lane fsyncs its domain's stream
-// while the ingest committer keeps appending to another — and, at drain
-// barriers, to this one): CommitTxn publishes the committed length with
-// a release store and Sync reads it with an acquire load, so a sync
-// covers exactly the commits whose Write completed before it started.
-// Concurrent Sync calls on the SAME stream must be serialized by the
-// caller (the Pager's per-domain mutex); synced_bytes_ is only touched
-// under that external lock. ReadPayload is const, touches no writer-side
-// members, and is made safe by the per-file reader/writer lock inside
-// File (see storage/env.hpp) plus the pager's rule that checkpoint
-// truncation never runs while a snapshot is live.
+// one appending (the async ingest committer closes its group-commit
+// window outside the writer mutex while another thread commits):
+// CommitTxn publishes the committed length with a release store and
+// Sync reads it with an acquire load, so a sync covers exactly the
+// commits whose Write completed before it started. Concurrent Sync
+// calls must be serialized by the caller (the Pager's wal_mu_);
+// synced_bytes_ is only touched under that external lock. ReadPayload
+// is const, touches no writer-side members, and is made safe by the
+// per-file reader/writer lock inside File (see storage/env.hpp) plus
+// the pager's rule that checkpoint truncation never runs while a
+// snapshot is live.
 #pragma once
 
 #include <atomic>
@@ -81,7 +81,7 @@ class WalWriter {
   // Truncates to a fresh file header carrying `base_seq` after a
   // checkpoint folded the log into the database file. Resets the
   // checksum chain and LSN counter. Append-thread only, and never
-  // concurrent with Sync (the pager holds every domain mutex across a
+  // concurrent with Sync (the pager holds its wal_mu_ across a
   // checkpoint).
   util::Status ResetToHeader(uint64_t base_seq);
 
@@ -124,7 +124,7 @@ class WalWriter {
   // Sync — possibly on another thread.
   std::atomic<uint64_t> committed_bytes_{0};
   // File length at last fsync. Only touched by Sync/ResetToHeader,
-  // serialized by the caller (per-domain mutex / checkpoint exclusivity);
+  // serialized by the caller (the pager's wal_mu_);
   // atomic so bytes_since_sync() on the append thread reads tear-free.
   std::atomic<uint64_t> synced_bytes_{0};
   uint64_t next_lsn_ = 1;

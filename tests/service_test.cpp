@@ -424,7 +424,9 @@ TEST_F(ServiceTest, MetricsDumpsConcurrentWithHandleChurn) {
     ASSERT_TRUE((*svc)->Ingest(profile, MakeVisit(profile, i)).ok());
     // Periodic barriers keep the workers opening and evicting (rather
     // than folding a whole round into one batch on a warm handle).
-    if (i % kProfiles == kProfiles - 1) ASSERT_TRUE((*svc)->Drain().ok());
+    if (i % kProfiles == kProfiles - 1) {
+      ASSERT_TRUE((*svc)->Drain().ok());
+    }
   }
   ASSERT_TRUE((*svc)->Drain().ok());
   stop.store(true);

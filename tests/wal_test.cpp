@@ -154,7 +154,8 @@ TEST(CheckpointerTest, FoldsCommittedPagesIntoDbFile) {
   ASSERT_TRUE((*writer)->CommitTxn(1, 3).ok());
 
   auto db_file = env.Open("db");
-  auto result = Checkpointer::Fold(&env, db_file->get(), "db.wal", true);
+  auto result =
+      Checkpointer::FoldStreams(&env, db_file->get(), {"db.wal"}, true);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->ran);
   EXPECT_EQ(result->pages_folded, 2u);
