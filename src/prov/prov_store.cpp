@@ -68,14 +68,8 @@ std::unique_ptr<ProvStore> ProvStore::AtSnapshot(
       std::make_unique<graph::GraphStore>(graph_->AtSnapshot(snap));
   view->url_index_ = view->bound_trees_.Bind(snap, url_index_);
   view->term_index_ = view->bound_trees_.Bind(snap, term_index_);
-  // A still-valid live interval cache equals the committed state the
-  // snapshot froze (ingestion invalidates it, and mid-transaction
-  // callers may have uncommitted visits the cache must not leak into),
-  // so adopt it instead of re-scanning every visit node per view.
-  if (interval_cache_valid_ && !db_.pager().InTransaction()) {
-    view->interval_cache_ = interval_cache_;
-    view->interval_cache_valid_ = true;
-  }
+  view->interval_cache_ = interval_cache_;
+  view->snapshot_seq_ = snap.commit_seq();
   return view;
 }
 
@@ -131,7 +125,6 @@ Result<NodeId> ProvStore::RecordVisit(std::string_view url,
   BP_REQUIRE(!snapshot_bound(), "RecordVisit on a snapshot-bound store");
   BP_REQUIRE(IsNavigationEdge(action),
              "RecordVisit takes a navigation edge kind");
-  interval_cache_valid_ = false;
   AutoTxn txn(db_.pager());
   BP_ASSIGN_OR_RETURN(NodeId page, UpsertPage(url, title));
 
@@ -183,7 +176,6 @@ Status ProvStore::RecordClose(NodeId visit, TimeMs time) {
       !options_.record_close_times) {
     return Status::Ok();
   }
-  interval_cache_valid_ = false;
   BP_ASSIGN_OR_RETURN(Node node, graph_->GetNode(visit));
   if (node.kind != static_cast<uint32_t>(NodeKind::kVisit)) {
     return Status::InvalidArgument("RecordClose: not a visit node");
@@ -195,7 +187,6 @@ Status ProvStore::RecordClose(NodeId visit, TimeMs time) {
 Result<NodeId> ProvStore::RecordSearch(std::string_view query,
                                        NodeId from_visit, TimeMs time) {
   BP_REQUIRE(!snapshot_bound(), "RecordSearch on a snapshot-bound store");
-  interval_cache_valid_ = false;
   AutoTxn txn(db_.pager());
   BP_ASSIGN_OR_RETURN(NodeId term, UpsertTerm(query));
   AttrMap attrs;
@@ -356,34 +347,59 @@ Result<std::vector<NodeId>> ProvStore::ViewsOfPage(
   return views;
 }
 
-Result<const graph::IntervalIndex*> ProvStore::VisitIntervals() {
+Result<const graph::IntervalIndex*> ProvStore::VisitIntervals(
+    graph::QueryStats* stats) {
   if (options_.policy != VersionPolicy::kVersionNodes) {
     return Status::FailedPrecondition(
         "visit intervals require the node-versioning policy (section 3.1: "
         "edge timestamping keeps no per-visit open/close state)");
   }
-  if (!interval_cache_valid_) {
-    std::vector<graph::IntervalIndex::Entry> entries;
-    graph::NodeCursor cur = graph_->Nodes();
-    for (; cur.Valid(); cur.Next()) {
-      if (cur.node().kind() != static_cast<uint32_t>(NodeKind::kVisit)) {
-        continue;
-      }
-      BP_ASSIGN_OR_RETURN(graph::AttrMap attrs, cur.node().attrs());
-      util::TimeSpan span;
-      span.open = attrs.IntOr(kAttrOpen, 0);
-      span.close = attrs.IntOr(kAttrClose, util::kTimeMax);
-      entries.push_back({span, cur.node().id()});
-    }
-    BP_RETURN_IF_ERROR(cur.status());
-    // Build into a fresh index and only then publish it: the published
-    // object is immutable, so AtSnapshot handles may share it.
-    auto built = std::make_shared<graph::IntervalIndex>();
-    built->Build(std::move(entries));
-    interval_cache_ = std::move(built);
-    interval_cache_valid_ = true;
+  // The committed state this handle reads: its snapshot's sequence, or
+  // the pager's last commit for the live store. None while the live
+  // store is inside a write transaction, whose pages it also reads.
+  std::optional<uint64_t> state;
+  if (snapshot_bound()) {
+    state = snapshot_seq_;
+  } else if (!db_.pager().InTransaction()) {
+    state = db_.pager().commit_seq();
   }
-  return interval_cache_.get();
+  if (state.has_value()) {
+    if (intervals_ != nullptr && intervals_seq_ == state) {
+      return intervals_.get();
+    }
+    util::MutexLock lock(interval_cache_->mu);
+    if (interval_cache_->index != nullptr && interval_cache_->seq == *state) {
+      intervals_ = interval_cache_->index;
+      intervals_seq_ = state;
+      return intervals_.get();
+    }
+  }
+  // Build outside the lock: the scan reads every node.
+  std::vector<graph::IntervalIndex::Entry> entries;
+  graph::NodeCursor cur = graph_->Nodes(1, stats);
+  for (; cur.Valid(); cur.Next()) {
+    if (cur.node().kind() != static_cast<uint32_t>(NodeKind::kVisit)) {
+      continue;
+    }
+    BP_ASSIGN_OR_RETURN(graph::AttrMap attrs, cur.node().attrs());
+    util::TimeSpan span;
+    span.open = attrs.IntOr(kAttrOpen, 0);
+    span.close = attrs.IntOr(kAttrClose, util::kTimeMax);
+    entries.push_back({span, cur.node().id()});
+  }
+  BP_RETURN_IF_ERROR(cur.status());
+  auto built = std::make_shared<const graph::IntervalIndex>(std::move(entries));
+  interval_cache_->builds.fetch_add(1, std::memory_order_relaxed);
+  if (state.has_value()) {
+    util::MutexLock lock(interval_cache_->mu);
+    if (interval_cache_->index == nullptr || *state > interval_cache_->seq) {
+      interval_cache_->index = built;
+      interval_cache_->seq = *state;
+    }
+  }
+  intervals_ = std::move(built);
+  intervals_seq_ = state;
+  return intervals_.get();
 }
 
 Result<bool> ProvStore::CheckInvariants() const {

@@ -20,8 +20,10 @@
 // compare against "places.".
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -30,7 +32,9 @@
 #include "graph/store.hpp"
 #include "prov/schema.hpp"
 #include "storage/pager.hpp"
+#include "util/mutex.hpp"
 #include "util/status.hpp"
+#include "util/thread_annotations.hpp"
 #include "util/time.hpp"
 
 namespace bp::prov {
@@ -55,10 +59,9 @@ class ProvStore {
   // — graph cursors, URL/term indexes, visit intervals — resolves
   // through `snap`: the snapshot-isolated query path (safe on a reader
   // thread while this live store keeps ingesting). Record*/Link* on the
-  // returned store are contract violations. The handle carries its own
-  // interval-index cache, built lazily from the snapshot and valid for
-  // the handle's whole lifetime (a frozen view never invalidates).
-  // `snap` and this store must outlive the handle.
+  // returned store are contract violations. The handle shares this
+  // store's visit-interval cache (see VisitIntervals). `snap` and this
+  // store must outlive the handle.
   std::unique_ptr<ProvStore> AtSnapshot(const storage::Snapshot& snap) const;
   bool snapshot_bound() const { return bound_trees_.bound(); }
 
@@ -141,8 +144,20 @@ class ProvStore {
 
   // Visit nodes whose [open, close) span overlaps the query span (node
   // policy only — the edge policy cannot answer this, which is the
-  // point of the E8 ablation). Built lazily; invalidated by ingestion.
-  util::Result<const graph::IntervalIndex*> VisitIntervals();
+  // point of the E8 ablation). Built once per committed state: the live
+  // store and every AtSnapshot handle share one cache keyed by commit
+  // sequence, so a handle at the cached sequence adopts the index, and
+  // a miss scans every node (charging the rows to `stats`) and then
+  // publishes its index if it is newer than the cached one. Inside an
+  // open write transaction the live store builds an index of its own
+  // that is never shared. The pointer stays valid until the next call
+  // on this handle.
+  util::Result<const graph::IntervalIndex*> VisitIntervals(
+      graph::QueryStats* stats = nullptr);
+  // Interval-index builds by this store and its AtSnapshot handles.
+  uint64_t interval_index_builds() const {
+    return interval_cache_->builds.load(std::memory_order_relaxed);
+  }
 
   // ------------------------------------------------------ integrity
   // Node policy: structural acyclicity. Edge policy: every navigation
@@ -174,12 +189,23 @@ class ProvStore {
   // into this owned storage instead of the Db's live handles.
   storage::BoundTrees bound_trees_;
 
-  // Lazily built visit-interval index. Shared + immutable once built,
-  // so AtSnapshot handles can adopt a still-valid live cache instead of
-  // re-scanning every visit node per view (ingestion invalidates only
-  // the live store's flag; adopters keep their reference).
-  std::shared_ptr<const graph::IntervalIndex> interval_cache_;
-  bool interval_cache_valid_ = false;
+  // The newest visit-interval index any handle of this store built,
+  // with the commit sequence it was built at. Immutable once published,
+  // so readers on other threads share it.
+  struct IntervalCache {
+    util::Mutex mu;
+    uint64_t seq BP_GUARDED_BY(mu) = 0;
+    std::shared_ptr<const graph::IntervalIndex> index BP_GUARDED_BY(mu);
+    std::atomic<uint64_t> builds{0};
+  };
+  std::shared_ptr<IntervalCache> interval_cache_ =
+      std::make_shared<IntervalCache>();
+  // Set by AtSnapshot: the commit sequence the bound snapshot froze.
+  uint64_t snapshot_seq_ = 0;
+  // What VisitIntervals last returned on this handle, and the committed
+  // state it was built from (nullopt: built inside a transaction).
+  std::shared_ptr<const graph::IntervalIndex> intervals_;
+  std::optional<uint64_t> intervals_seq_;
 };
 
 }  // namespace bp::prov

@@ -71,12 +71,12 @@ Result<std::unique_ptr<ProvenanceDb>> ProvenanceDb::Open(
   // Stand the async pipeline up LAST: its committer thread reaches into
   // every member above from the moment it starts.
   out->drain_before_query_ = options.async.drain_before_query;
+  ProvenanceDb* raw = out.get();
   if (options.async.enabled) {
     capture::PipelineOptions popts;
     popts.queue_capacity = options.async.queue_capacity;
     popts.max_batch = out->ingest_batch_;
     popts.backpressure = options.async.backpressure;
-    ProvenanceDb* raw = out.get();
     out->async_sink_ = std::make_unique<capture::AsyncSink>(
         [raw](const capture::BrowserEvent& event) {
           util::Result<IngestTicket> ticket = raw->IngestAsync(event);
@@ -88,34 +88,40 @@ Result<std::unique_ptr<ProvenanceDb>> ProvenanceDb::Open(
           return raw->CommitEventBatch(std::move(events), backlog);
         },
         [raw] { return raw->SyncPipeline(); });
-    // Export the pipeline's own counters at dump time (the Pager
-    // registers its collector itself in Pager::Open). Safe raw capture:
-    // the destructor removes the collector before touching pipeline_.
-    out->metrics_token_ = reg.AddCollector([raw](obs::CollectionSink& sink) {
-      const capture::PipelineStats p = raw->pipeline_stats();
-      const std::string labels = "db=\"" + raw->path_ + "\"";
-      sink.Counter("bp_ingest_enqueued", labels,
-                   "Events accepted into the ingest queue", p.enqueued);
-      sink.Counter("bp_ingest_committed", labels,
-                   "Events whose transaction committed", p.committed);
-      sink.Counter("bp_ingest_batches", labels,
-                   "Storage transactions the committer ran", p.batches);
-      sink.Counter("bp_ingest_coalesced_txns", labels,
-                   "Batches carrying more than one event", p.coalesced_txns);
-      sink.Counter("bp_ingest_early_flushes", labels,
-                   "Group-commit windows closed early", p.early_flushes);
-      sink.Counter("bp_ingest_rejected", labels,
-                   "Enqueues refused on a full queue", p.rejected);
-      sink.Counter("bp_ingest_blocked_enqueues", labels,
-                   "Enqueues that waited on a full queue",
-                   p.blocked_enqueues);
-      sink.Gauge("bp_ingest_max_queue_depth", labels,
-                 "Deepest the ingest queue ever got", p.max_queue_depth);
-      sink.Gauge("bp_ingest_mean_queue_depth", labels,
-                 "Mean queue depth over enqueue/pop samples",
-                 p.mean_queue_depth);
-    });
   }
+  // Export this facade's own counters at dump time (the Pager registers
+  // its collector itself in Pager::Open). Safe raw capture: Close and
+  // the destructor remove the collector before touching store_ or
+  // pipeline_.
+  out->metrics_token_ = reg.AddCollector([raw](obs::CollectionSink& sink) {
+    const std::string labels = "db=\"" + raw->path_ + "\"";
+    sink.Counter("bp_prov_interval_index_builds", labels,
+                 "Visit-interval index builds (one per committed state "
+                 "that time-context queries read)",
+                 raw->store_->interval_index_builds());
+    if (raw->pipeline_ == nullptr) return;
+    const capture::PipelineStats p = raw->pipeline_stats();
+    sink.Counter("bp_ingest_enqueued", labels,
+                 "Events accepted into the ingest queue", p.enqueued);
+    sink.Counter("bp_ingest_committed", labels,
+                 "Events whose transaction committed", p.committed);
+    sink.Counter("bp_ingest_batches", labels,
+                 "Storage transactions the committer ran", p.batches);
+    sink.Counter("bp_ingest_coalesced_txns", labels,
+                 "Batches carrying more than one event", p.coalesced_txns);
+    sink.Counter("bp_ingest_early_flushes", labels,
+                 "Group-commit windows closed early", p.early_flushes);
+    sink.Counter("bp_ingest_rejected", labels,
+                 "Enqueues refused on a full queue", p.rejected);
+    sink.Counter("bp_ingest_blocked_enqueues", labels,
+                 "Enqueues that waited on a full queue",
+                 p.blocked_enqueues);
+    sink.Gauge("bp_ingest_max_queue_depth", labels,
+               "Deepest the ingest queue ever got", p.max_queue_depth);
+    sink.Gauge("bp_ingest_mean_queue_depth", labels,
+               "Mean queue depth over enqueue/pop samples",
+               p.mean_queue_depth);
+  });
   return out;
 }
 

@@ -31,14 +31,16 @@
 // one query path: every one-shot query method, callable from any
 // thread, runs against a private snapshot opened for just that call —
 // so queries never observe a half-applied batch and never block behind
-// each other, only behind snapshot creation. For
-// query bursts that should share one consistent view (paging through
-// results, multi-query forensics, repeated TimeContext against one
-// interval index), BeginSnapshot() hands out a SnapshotView that pins
-// the commit horizon once; its queries run with NO locking at all,
-// fully in parallel with ingestion and each other (one SnapshotView per
-// reader thread — the view itself is single-threaded, the snapshot
-// layer below is what's shared). Destroy every SnapshotView before the
+// each other, only behind snapshot creation. Work derived from one
+// committed state is shared across those snapshots: TimeContext's
+// visit-interval index is built once per commit sequence and adopted
+// by every later query that reads the same state. For query bursts
+// that should share one consistent view (paging through results,
+// multi-query forensics), BeginSnapshot() hands out a SnapshotView
+// that pins the commit horizon once; its queries run with NO locking
+// at all, fully in parallel with ingestion and each other (one
+// SnapshotView per reader thread — the view itself is single-threaded,
+// the snapshot layer below is what's shared). Destroy every SnapshotView before the
 // ProvenanceDb.
 //
 // The owned EventBus is exposed so additional sinks (e.g. the Places
@@ -286,8 +288,7 @@ class ProvenanceDb {
   //
   // One-shot: each call runs against a private snapshot opened for just
   // that call, so concurrent ingestion never tears a result. Prefer
-  // BeginSnapshot when several queries must agree on one view or share
-  // its caches.
+  // BeginSnapshot when several queries must agree on one view.
   //
   // Use case 2.1: provenance-aware contextual history search.
   util::Result<search::ContextualSearchResult> Search(
@@ -434,8 +435,9 @@ class ProvenanceDb {
   obs::Histogram* query_us_time_context_ = nullptr;
   obs::Histogram* query_us_trace_ = nullptr;
   obs::Histogram* query_us_descendants_ = nullptr;
-  // Pull collector exporting pipeline_stats(); removed in the
-  // destructor BEFORE the pipeline is torn down.
+  // Pull collector exporting pipeline_stats() and the interval-index
+  // build count; removed (by Close or the destructor) BEFORE the store
+  // and the pipeline are torn down.
   uint64_t metrics_token_ = 0;
   // Declared last (and reset first in the destructor): joining the
   // committer must happen while every member it reaches into is alive.

@@ -36,7 +36,7 @@ Result<TimeContextResult> TimeContextualSearch(
   }
 
   BP_ASSIGN_OR_RETURN(const graph::IntervalIndex* intervals,
-                      store.VisitIntervals());
+                      store.VisitIntervals(&result.stats));
 
   graph::BudgetScope budget_scope(options.budget, &result.stats);
   for (const RankedPage& page : primary.pages) {

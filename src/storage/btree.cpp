@@ -60,8 +60,13 @@ void SetU32(char* p, size_t off, uint32_t v) {
   }
 }
 
+// More cells than this cannot fit: each takes a 2-byte pointer plus at
+// least one byte of content. Capping the stored count keeps a corrupt
+// one from sending CellPtr past the page.
+constexpr uint16_t kMaxCells = (kPageSize - kNodeHeader) / 3;
+
 uint8_t NodeType(const char* p) { return static_cast<uint8_t>(p[0]); }
-uint16_t NCells(const char* p) { return GetU16(p, 2); }
+uint16_t NCells(const char* p) { return std::min(GetU16(p, 2), kMaxCells); }
 uint16_t ContentStart(const char* p) { return GetU16(p, 4); }
 uint16_t Frag(const char* p) { return GetU16(p, 6); }
 uint32_t Aux(const char* p) { return GetU32(p, 8); }
@@ -86,9 +91,14 @@ void SetCellPtr(char* p, uint32_t i, uint16_t v) {
 }
 
 // View of cell bytes from the cell's start to the end of the page; the
-// parser knows where the cell actually ends.
+// parser knows where the cell actually ends. A pointer outside the
+// content area (past the pointer array, inside the page) is damage: it
+// yields an empty view, which every cell parser rejects as malformed.
 std::string_view CellBytes(const char* p, uint32_t i) {
-  uint16_t off = CellPtr(p, i);
+  const uint16_t off = CellPtr(p, i);
+  if (off < kNodeHeader + 2 * size_t{NCells(p)} || off >= kPageSize) {
+    return {};
+  }
   return std::string_view(p + off, kPageSize - off);
 }
 
@@ -319,6 +329,9 @@ Result<std::string> BTree::ReadOverflowChain(PageId first,
       return Status::Corruption("overflow chain hits a non-overflow page");
     }
     uint32_t len = Aux2(ref.data());
+    if (len > kOverflowCapacity) {
+      return Status::Corruption("overflow page claims more than a page");
+    }
     out.append(ref.data() + kNodeHeader, len);
     page = Aux(ref.data());
   }

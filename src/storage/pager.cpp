@@ -289,6 +289,7 @@ Status Pager::RecoverFromWal() {
 }
 
 Status Pager::SyncWalLocked() {
+  if (!wal_sync_failure_.ok()) return wal_sync_failure_;
   // Snapshot the pending count first: the acquire pairs with the
   // committing thread's release fetch_add, so the log bytes those
   // commits appended are visible to the Sync below. Commits that land
@@ -306,14 +307,21 @@ Status Pager::SyncWalLocked() {
     unsynced_commits_.fetch_sub(pending, std::memory_order_relaxed);
     return Status::Ok();
   }
-  uint64_t made_durable;
-  {
+  Result<uint64_t> synced = [&] {
     obs::ScopedTimerUs timer(fsync_latency_us_);
-    BP_ASSIGN_OR_RETURN(made_durable, wal_->Sync());
+    return wal_->Sync();
+  }();
+  if (!synced.ok()) {
+    // Never retried: the failed window stays pending for good, and
+    // every later sync and commit reports this (see SyncWal).
+    wal_sync_failure_ = Status::FailedPrecondition(
+        "write-ahead log fsync failed earlier (" +
+        synced.status().ToString() +
+        "); later commits cannot be made durable, reopen the database");
+    wal_sync_failed_.store(true, std::memory_order_release);
+    return synced.status();
   }
-  // Retire the window only once the fsync SUCCEEDED: a failed sync
-  // leaves the counter full, so the very next commit retries instead of
-  // accumulating another whole window of unsynced transactions.
+  const uint64_t made_durable = *synced;
   // Subtract (not store 0): commits may have landed since the load.
   unsynced_commits_.fetch_sub(pending, std::memory_order_relaxed);
   if (made_durable > 0) {
@@ -328,7 +336,15 @@ Status Pager::SyncWal() {
   return SyncWalLocked();
 }
 
+Status Pager::WalSyncFailure() const {
+  util::MutexLock lock(wal_mu_);
+  return wal_sync_failure_;
+}
+
 Result<bool> Pager::FlushPending() {
+  if (wal_sync_failed_.load(std::memory_order_acquire)) {
+    return WalSyncFailure();
+  }
   if (unsynced_commits() == 0) return false;
   BP_RETURN_IF_ERROR(SyncWal());
   return true;
@@ -486,6 +502,11 @@ Status Pager::Begin() {
 
 Status Pager::Commit() {
   BP_REQUIRE(in_txn_, "Commit outside a transaction");
+  // The transaction stays open, as on any failed commit: the caller
+  // rolls it back.
+  if (wal_sync_failed_.load(std::memory_order_acquire)) {
+    return WalSyncFailure();
+  }
   obs::ScopedTimerUs timer(commit_latency_us_);
   obs::ScopedSpan span("pager.commit");
 
@@ -520,9 +541,9 @@ Status Pager::Commit() {
 
   // Group commit: the transaction is fully retired above BEFORE the
   // fsync is attempted, because once its commit frame is in the log it
-  // IS committed — a sync failure here means durability is not yet
-  // guaranteed (the caller may retry SyncWal), never that the commit
-  // can be rolled back. Flushing inside CommitViaWal would let an
+  // IS committed — a sync failure here means durability can no longer
+  // be guaranteed (the failure is sticky; see SyncWal), never that the
+  // commit can be rolled back. Flushing inside CommitViaWal would let an
   // fsync error leave in_txn_ set and a later Rollback tear cached
   // pages away from the log's committed images.
   if (unsynced_commits() >= options_.wal_group_commit) {
@@ -610,8 +631,12 @@ Status Pager::Rollback() {
     freelist_head_ = r.ReadU32();
     freelist_count_ = r.ReadU32();
     catalog_root_ = r.ReadU32();
-    commit_seq_ = r.ReadU64();
   }
+  // commit_seq_ is left as it is: a transaction never moves it (a
+  // failed CommitViaWal undoes its own bump), and the cached header
+  // frame can hold an older value, since commits that dirty no header
+  // field do not rewrite page 0. Restoring it from there would hand a
+  // later commit a sequence number the log already holds.
 
   before_images_.clear();
   fresh_pages_.clear();

@@ -278,6 +278,13 @@ class Pager {
   // exact; a changed one makes them re-seek by key.
   uint64_t change_count() const { return change_count_; }
 
+  // Sequence number of the last commit (writer thread). While no
+  // transaction is open it names the state the writer reads, the same
+  // number a Snapshot begun now reports as commit_seq(); each commit
+  // that writes a page takes the next one, so no two committed states
+  // share a number within one open.
+  uint64_t commit_seq() const { return commit_seq_; }
+
   // Total bytes the database file occupies (page_count * kPageSize).
   uint64_t FileBytes() const {
     return static_cast<uint64_t>(page_count_) * kPageSize;
@@ -293,6 +300,13 @@ class Pager {
   // Makes every commit durable (flushes a partially filled group-commit
   // window). This is the acknowledgment barrier. No-op when nothing is
   // pending. Safe from a non-writer thread.
+  //
+  // A failed log fsync is sticky: the failing call returns the device
+  // error, and every later SyncWal, FlushPending, Commit and Checkpoint
+  // returns FailedPrecondition. After a failed fsync the kernel may
+  // have dropped the dirty log pages, and a retried fsync can then
+  // report success without them, so no commit may be acknowledged
+  // after it. Reopening the database replays what the log holds.
   util::Status SyncWal() BP_EXCLUDES(wal_mu_);
 
   // Adaptive group-commit hook: closes partially filled windows ONLY
@@ -372,6 +386,8 @@ class Pager {
 
   // Fsyncs the log's committed-but-unsynced transactions.
   util::Status SyncWalLocked() BP_REQUIRES(wal_mu_);
+  // The sticky error of a failed log fsync (see SyncWal).
+  util::Status WalSyncFailure() const BP_EXCLUDES(wal_mu_);
 
   util::Result<internal::Frame*> FetchFrame(PageId id);
   // Records `frame`'s pre-transaction image (or marks it fresh) the
@@ -440,12 +456,16 @@ class Pager {
   // committed-bytes; wal_mu_ serializes fsyncs against each other and
   // against checkpoint truncation.
   std::unique_ptr<wal::WalWriter> wal_;
-  util::Mutex wal_mu_;
+  mutable util::Mutex wal_mu_;
   // Committed transactions not yet fsynced. Released by the committing
   // thread after the log append, acquired by the syncing thread before
   // it snapshots committed bytes — so a sync that observes N pending
   // commits observes their appended bytes.
   std::atomic<uint32_t> unsynced_commits_{0};
+  // Set once by the first failed log fsync and never cleared (see
+  // SyncWal); the flag lets Commit check without taking wal_mu_.
+  std::atomic<bool> wal_sync_failed_{false};
+  util::Status wal_sync_failure_ BP_GUARDED_BY(wal_mu_);
   // Pool image-key generation for WAL offsets; bumped when a checkpoint
   // truncates the log (offset reuse). Writer thread; snapshots read the
   // published copy.

@@ -409,6 +409,132 @@ TEST_P(ProvTest, AbandonedIngestBatchRollsBackAtomically) {
   EXPECT_TRUE(store_->PageForUrl("http://doomed").status().IsNotFound());
 }
 
+// ------------------------------------------ shared interval cache
+
+class IntervalCacheTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    DbOptions opts;
+    opts.env = &env_;
+    auto db = storage::Db::Open("intervals.db", opts);
+    ASSERT_TRUE(db.ok());
+    db_ = std::move(*db);
+    auto store = ProvStore::Open(*db_, ProvOptions{});
+    ASSERT_TRUE(store.ok());
+    store_ = std::move(*store);
+  }
+
+  NodeId Visit(const std::string& url, util::TimeMs open) {
+    auto visit = store_->RecordVisit(url, url, EdgeKind::kTyped, 0, open, 1);
+    EXPECT_TRUE(visit.ok());
+    return visit.ok() ? *visit : 0;
+  }
+
+  // The visits open at each probe time, sorted: what a caller sees.
+  static std::vector<std::vector<uint64_t>> Answers(
+      const graph::IntervalIndex& index) {
+    std::vector<std::vector<uint64_t>> out;
+    for (util::TimeMs t : {Seconds(1), Seconds(5), Seconds(10), Seconds(30),
+                           Seconds(60), Minutes(5), util::Days(10)}) {
+      std::vector<uint64_t> at = index.At(t);
+      std::sort(at.begin(), at.end());
+      out.push_back(std::move(at));
+    }
+    return out;
+  }
+
+  MemEnv env_;
+  std::unique_ptr<storage::Db> db_;
+  std::unique_ptr<ProvStore> store_;
+};
+
+TEST_F(IntervalCacheTest, OneBuildPerCommittedState) {
+  Visit("http://a", Seconds(1));
+  Visit("http://b", Seconds(2));
+  for (int i = 0; i < 5; ++i) {
+    auto snap = db_->pager().BeginRead();
+    ASSERT_TRUE(snap.ok());
+    std::unique_ptr<ProvStore> view = store_->AtSnapshot(**snap);
+    graph::QueryStats stats;
+    auto intervals = view->VisitIntervals(&stats);
+    ASSERT_TRUE(intervals.ok());
+    EXPECT_EQ((*intervals)->size(), 2u);
+    // Only the build reads rows; every later view adopts its index.
+    EXPECT_EQ(stats.rows_scanned > 0, i == 0) << "view " << i;
+  }
+  // The live store reads the same committed state: it adopts too.
+  ASSERT_TRUE(store_->VisitIntervals().ok());
+  EXPECT_EQ(store_->interval_index_builds(), 1u);
+}
+
+TEST_F(IntervalCacheTest, ClosingCommitBuildsANewIndexEqualToAFreshBuild) {
+  const NodeId a = Visit("http://a", Seconds(1));
+  Visit("http://b", Seconds(2));
+  auto before = db_->pager().BeginRead();
+  ASSERT_TRUE(before.ok());
+  std::unique_ptr<ProvStore> old_view = store_->AtSnapshot(**before);
+  auto old_intervals = old_view->VisitIntervals();
+  ASSERT_TRUE(old_intervals.ok());
+  const auto old_answers = Answers(**old_intervals);
+
+  ASSERT_TRUE(store_->RecordClose(a, Seconds(20)).ok());
+  auto after = db_->pager().BeginRead();
+  ASSERT_TRUE(after.ok());
+  EXPECT_GT((*after)->commit_seq(), (*before)->commit_seq());
+  std::unique_ptr<ProvStore> new_view = store_->AtSnapshot(**after);
+  auto new_intervals = new_view->VisitIntervals();
+  ASSERT_TRUE(new_intervals.ok());
+  EXPECT_EQ(store_->interval_index_builds(), 2u);
+
+  // A store with its own cache builds from scratch at the same state.
+  auto fresh = ProvStore::Open(*db_, ProvOptions{});
+  ASSERT_TRUE(fresh.ok());
+  auto fresh_intervals = (*fresh)->VisitIntervals();
+  ASSERT_TRUE(fresh_intervals.ok());
+  EXPECT_EQ(Answers(**new_intervals), Answers(**fresh_intervals));
+  EXPECT_NE(Answers(**new_intervals), old_answers);  // `a` closed at 20s
+  // The older view keeps answering for the state it froze.
+  old_intervals = old_view->VisitIntervals();
+  ASSERT_TRUE(old_intervals.ok());
+  EXPECT_EQ(Answers(**old_intervals), old_answers);
+}
+
+TEST_F(IntervalCacheTest, BuildInsideATransactionIsNeverShared) {
+  const NodeId a = Visit("http://a", Seconds(1));
+  auto before = db_->pager().BeginRead();
+  ASSERT_TRUE(before.ok());
+  const std::vector<uint64_t> committed_only = {a};
+  {
+    ProvStore::IngestBatch batch(*store_);
+    const NodeId pending = Visit("http://pending", Seconds(3));
+    // The live store reads its own uncommitted visit.
+    auto live = store_->VisitIntervals();
+    ASSERT_TRUE(live.ok());
+    auto at = (*live)->At(Seconds(5));
+    std::sort(at.begin(), at.end());
+    EXPECT_EQ(at, (std::vector<uint64_t>{a, pending}));
+
+    // Views of the committed state, taken before or during the
+    // transaction, must not adopt that index.
+    auto during = db_->pager().BeginRead();
+    ASSERT_TRUE(during.ok());
+    for (const auto* snap : {before->get(), during->get()}) {
+      std::unique_ptr<ProvStore> view = store_->AtSnapshot(*snap);
+      auto intervals = view->VisitIntervals();
+      ASSERT_TRUE(intervals.ok());
+      EXPECT_EQ((*intervals)->At(Seconds(5)), committed_only);
+    }
+    // No Commit: the batch rolls back.
+  }
+  // Nor does the live store keep it once the transaction is gone.
+  auto live = store_->VisitIntervals();
+  ASSERT_TRUE(live.ok());
+  EXPECT_EQ((*live)->At(Seconds(5)), committed_only);
+  // One build inside the transaction, one by the first view; the second
+  // view and the live store adopted the committed build.
+  EXPECT_EQ(store_->interval_index_builds(), 2u);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Policies, ProvTest,
     ::testing::Values(VersionPolicy::kVersionNodes,

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -379,6 +380,98 @@ TEST_F(ProvenanceDbTest, ConcurrentReadersDuringIngest) {
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(errors.load(), 0);
   EXPECT_GT(queries.load(), 0u);
+}
+
+TEST_F(ProvenanceDbTest, OneShotTimeContextBuildsOneIntervalIndexPerCommit) {
+  IngestRosebudSession();
+  std::vector<search::TimeContextResult> answers;
+  for (int i = 0; i < 8; ++i) {
+    auto tc = db_->TimeContext("citizen kane", "rosebud");
+    ASSERT_TRUE(tc.ok()) << tc.status().ToString();
+    answers.push_back(std::move(*tc));
+  }
+  EXPECT_EQ(db_->store().interval_index_builds(), 1u);
+  // The build's node scan is charged to the query that ran it.
+  EXPECT_GT(answers[0].stats.rows_scanned, answers[1].stats.rows_scanned);
+  for (const auto& tc : answers) {
+    ASSERT_EQ(tc.matches.size(), answers[0].matches.size());
+    for (size_t m = 0; m < tc.matches.size(); ++m) {
+      EXPECT_EQ(tc.matches[m].page.page, answers[0].matches[m].page.page);
+      EXPECT_EQ(tc.matches[m].overlap_ms, answers[0].matches[m].overlap_ms);
+    }
+  }
+  const std::string text = db_->DebugDumpText();
+  EXPECT_NE(text.find("bp_prov_interval_index_builds{db=\"facade.db\"} 1"),
+            std::string::npos)
+      << text;
+
+  // A new commit is a new committed state: one more build, then hits.
+  sim::ScenarioBuilder s;
+  s.Visit(2, "http://wine.example/", "wine", capture::NavigationAction::kTyped);
+  ASSERT_TRUE(db_->IngestAll(s.events()).ok());
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(db_->TimeContext("citizen kane", "rosebud").ok());
+  }
+  EXPECT_EQ(db_->store().interval_index_builds(), 2u);
+}
+
+TEST_F(ProvenanceDbTest, ReadersRacingViewsShareTheIntervalCache) {
+  IngestRosebudSession();
+  // Every view at one commit sequence must answer identically, whether
+  // it built the shared index or adopted it from the other reader.
+  util::Mutex mu;
+  std::map<uint64_t, std::string> answer_at_seq;
+  std::atomic<bool> done{false};
+  std::atomic<int> errors{0};
+  std::atomic<uint64_t> queries{0};
+  auto reader = [&] {
+    while (!done.load(std::memory_order_acquire)) {
+      auto view = db_->BeginSnapshot();
+      if (!view.ok()) {
+        ++errors;
+        return;
+      }
+      auto tc = view->TimeContext("kane", "rosebud");
+      if (!tc.ok()) {
+        ++errors;
+        return;
+      }
+      std::string digest;
+      for (const auto& match : tc->matches) {
+        digest += util::StrFormat("%llu:%a:%a ",
+                                  (unsigned long long)match.page.page,
+                                  match.page.total, match.overlap_ms);
+      }
+      util::MutexLock lock(mu);
+      auto [it, inserted] = answer_at_seq.emplace(view->commit_seq(), digest);
+      if (!inserted && it->second != digest) ++errors;
+      queries.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) readers.emplace_back(reader);
+  // Both readers race at the first sequence, then at each new one.
+  for (int batch = 0; batch < 40; ++batch) {
+    const uint64_t target = queries.load() + 4;
+    while (queries.load() < target && errors.load() == 0) {
+      std::this_thread::yield();
+    }
+    sim::ScenarioBuilder s;
+    const uint64_t page = s.Visit(
+        1, "http://films.example/kane-" + std::to_string(batch),
+        "kane fan page " + std::to_string(batch),
+        capture::NavigationAction::kTyped);
+    s.Wait(util::Seconds(2));
+    s.Close(1, page);
+    ASSERT_TRUE(db_->IngestAll(s.events()).ok());
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(errors.load(), 0);
+  util::MutexLock lock(mu);
+  EXPECT_GT(answer_at_seq.size(), 1u);
+  // Two readers that miss at once may both build; never more.
+  EXPECT_LE(db_->store().interval_index_builds(), 2 * answer_at_seq.size());
 }
 
 TEST_F(ProvenanceDbTest, AsyncIngestMatchesSynchronousIngest) {

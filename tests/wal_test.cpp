@@ -14,6 +14,7 @@
 #include "storage/db.hpp"
 #include "storage/env.hpp"
 #include "storage/pager.hpp"
+#include "storage/snapshot.hpp"
 #include "util/serde.hpp"
 #include "wal/checkpointer.hpp"
 #include "wal/wal_reader.hpp"
@@ -385,6 +386,158 @@ TEST(PagerWalTest, GroupCommitCrashLosesOnlyUnsyncedSuffixAtomically) {
     EXPECT_EQ((*(*pager)->Get(id)).data()[0],
               static_cast<char>('a' + (id - 1)));
   }
+}
+
+// Env wrapper over a MemEnv whose files fail the first Sync issued
+// after Arm() and succeed on every later one: the Linux failure mode
+// where a retried fsync reports success after the kernel dropped the
+// dirty pages the failed one could not write.
+class FailFirstSyncEnv : public storage::Env {
+ public:
+  explicit FailFirstSyncEnv(MemEnv* base) : base_(base) {}
+  void Arm() { armed_ = true; }
+  int syncs_failed() const { return syncs_failed_; }
+
+  util::Result<std::unique_ptr<storage::File>> Open(
+      const std::string& name) override {
+    BP_ASSIGN_OR_RETURN(std::unique_ptr<storage::File> file,
+                        base_->Open(name));
+    return std::unique_ptr<storage::File>(
+        new FailingFile(this, std::move(file)));
+  }
+  util::Status Remove(const std::string& name) override {
+    return base_->Remove(name);
+  }
+  bool Exists(const std::string& name) const override {
+    return base_->Exists(name);
+  }
+
+ private:
+  class FailingFile : public storage::File {
+   public:
+    FailingFile(FailFirstSyncEnv* env, std::unique_ptr<storage::File> base)
+        : env_(env), base_(std::move(base)) {}
+    util::Status Read(uint64_t offset, size_t n,
+                      std::string* out) const override {
+      return base_->Read(offset, n, out);
+    }
+    util::Status Write(uint64_t offset, std::string_view data) override {
+      return base_->Write(offset, data);
+    }
+    util::Status Sync() override {
+      if (env_->armed_) {
+        env_->armed_ = false;
+        ++env_->syncs_failed_;
+        return util::Status::IoError("injected fsync failure");
+      }
+      return base_->Sync();
+    }
+    util::Status Truncate(uint64_t size) override {
+      return base_->Truncate(size);
+    }
+    util::Result<uint64_t> Size() const override { return base_->Size(); }
+
+   private:
+    FailFirstSyncEnv* env_;
+    std::unique_ptr<storage::File> base_;
+  };
+
+  MemEnv* base_;
+  bool armed_ = false;
+  int syncs_failed_ = 0;
+};
+
+TEST(PagerWalTest, FailedLogFsyncIsStickyUntilReopen) {
+  MemEnv mem;
+  FailFirstSyncEnv env(&mem);
+  PagerOptions opts;
+  opts.env = &env;
+  opts.wal_group_commit = 1;  // every commit fsyncs the log
+  {
+    auto pager = Pager::Open("db", opts);
+    ASSERT_TRUE(pager.ok());
+    ASSERT_TRUE((*pager)->Begin().ok());
+    auto id = (*pager)->Allocate();
+    ASSERT_TRUE(id.ok());
+    (*(*pager)->GetMutable(*id)).mutable_data()[0] = 'A';
+    ASSERT_TRUE((*pager)->Commit().ok());
+
+    env.Arm();
+    ASSERT_TRUE((*pager)->Begin().ok());
+    (*(*pager)->GetMutable(*id)).mutable_data()[0] = 'B';
+    // The commit is in the log, but its fsync failed.
+    EXPECT_EQ((*pager)->Commit().code(), util::StatusCode::kIoError);
+    EXPECT_EQ(env.syncs_failed(), 1);
+
+    // The device would now accept a sync, but none is attempted: a
+    // retried fsync could report success for pages already dropped.
+    const uint64_t fsyncs = (*pager)->stats().fsyncs;
+    EXPECT_EQ((*pager)->SyncWal().code(),
+              util::StatusCode::kFailedPrecondition);
+    auto flushed = (*pager)->FlushPending();
+    EXPECT_EQ(flushed.status().code(), util::StatusCode::kFailedPrecondition);
+    ASSERT_TRUE((*pager)->Begin().ok());
+    (*(*pager)->GetMutable(*id)).mutable_data()[0] = 'C';
+    EXPECT_EQ((*pager)->Commit().code(),
+              util::StatusCode::kFailedPrecondition);
+    ASSERT_TRUE((*pager)->InTransaction());
+    ASSERT_TRUE((*pager)->Rollback().ok());
+    EXPECT_EQ((*pager)->Checkpoint().code(),
+              util::StatusCode::kFailedPrecondition);
+    EXPECT_EQ((*pager)->stats().fsyncs, fsyncs);
+  }
+  // The failed close left the log behind; a reopen replays it and the
+  // database accepts commits again.
+  EXPECT_TRUE(mem.Exists("db.wal"));
+  auto pager = Pager::Open("db", opts);
+  ASSERT_TRUE(pager.ok());
+  EXPECT_EQ((*(*pager)->Get(1)).data()[0], 'B');
+  ASSERT_TRUE((*pager)->Begin().ok());
+  (*(*pager)->GetMutable(1)).mutable_data()[0] = 'D';
+  ASSERT_TRUE((*pager)->Commit().ok());
+  ASSERT_TRUE((*pager)->SyncWal().ok());
+}
+
+TEST(PagerWalTest, RollbackNeverReusesACommitSequence) {
+  // A commit that touches no header field leaves page 0's stored
+  // sequence behind; a rollback must not restore that stale value, or
+  // the next commit would repeat a sequence the log already holds and
+  // recovery would replay only one of the two transactions.
+  MemEnv env;
+  std::map<std::string, std::string> crashed;
+  {
+    auto pager = Pager::Open("db", WalPagerOptions(&env));
+    ASSERT_TRUE(pager.ok());
+    ASSERT_TRUE((*pager)->Begin().ok());
+    ASSERT_TRUE((*pager)->Allocate().ok());
+    ASSERT_TRUE((*pager)->Allocate().ok());
+    ASSERT_TRUE((*pager)->Commit().ok());
+    const uint64_t allocated = (*pager)->commit_seq();
+
+    ASSERT_TRUE((*pager)->Begin().ok());
+    (*(*pager)->GetMutable(1)).mutable_data()[0] = 'B';
+    ASSERT_TRUE((*pager)->Commit().ok());
+    EXPECT_EQ((*pager)->commit_seq(), allocated + 1);
+
+    ASSERT_TRUE((*pager)->Begin().ok());
+    (*(*pager)->GetMutable(2)).mutable_data()[0] = 'x';
+    ASSERT_TRUE((*pager)->Rollback().ok());
+    EXPECT_EQ((*pager)->commit_seq(), allocated + 1);
+
+    ASSERT_TRUE((*pager)->Begin().ok());
+    (*(*pager)->GetMutable(2)).mutable_data()[0] = 'C';
+    ASSERT_TRUE((*pager)->Commit().ok());
+    EXPECT_EQ((*pager)->commit_seq(), allocated + 2);
+    auto snap = (*pager)->BeginRead();
+    ASSERT_TRUE(snap.ok());
+    EXPECT_EQ((*snap)->commit_seq(), allocated + 2);
+    crashed = env.SnapshotAll();
+  }
+  env.RestoreAll(crashed);
+  auto pager = Pager::Open("db", WalPagerOptions(&env));
+  ASSERT_TRUE(pager.ok());
+  EXPECT_EQ((*(*pager)->Get(1)).data()[0], 'B');
+  EXPECT_EQ((*(*pager)->Get(2)).data()[0], 'C');
 }
 
 // ------------------------------------------- leftover hot journal
