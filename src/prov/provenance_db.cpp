@@ -269,14 +269,7 @@ Status ProvenanceDb::PublishBatchLocked(
     // so no half-applied event group is ever left behind.
     BP_RETURN_IF_ERROR(bus_.Publish(event));
   }
-  Status committed = batch.Commit();
-  if (!committed.ok() && db_->pager().InTransaction()) {
-    // Commit marks the AutoTxn retired before the pager runs, so a
-    // failed pager commit leaves the transaction open; roll it back so
-    // the pager stays usable (and a reopen can clear a sticky error).
-    (void)db_->pager().Rollback();
-  }
-  return committed;
+  return batch.Commit();
 }
 
 Status ProvenanceDb::RefreshIndex() {

@@ -578,12 +578,17 @@ class AutoTxn {
   AutoTxn(const AutoTxn&) = delete;
   AutoTxn& operator=(const AutoTxn&) = delete;
 
-  // Commits when owned; reports a failed Begin; no-op when nested.
+  // Commits when owned; reports a failed Begin; no-op when nested. A
+  // pager commit that fails before retiring the transaction (a failed
+  // log append, or an earlier sticky fsync failure) leaves it open; the
+  // destructor then rolls it back, so no later AutoTxn mistakes the
+  // dead transaction for an outer one and skips its own commit.
   util::Status Commit() {
     if (!begin_status_.ok()) return begin_status_;
     if (!owns_) return util::Status::Ok();
-    committed_ = true;
-    return pager_.Commit();
+    util::Status status = pager_.Commit();
+    committed_ = !pager_.InTransaction();
+    return status;
   }
 
  private:

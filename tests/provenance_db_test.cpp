@@ -19,6 +19,7 @@
 #include "sim/web.hpp"
 #include "storage/buffer_pool.hpp"
 #include "storage/env.hpp"
+#include "tests/fail_sync_env.hpp"
 #include "text/tokenizer.hpp"
 #include "util/serde.hpp"
 #include "util/strings.hpp"
@@ -1014,6 +1015,69 @@ TEST_F(ProvenanceDbTest, StatsRecordWithoutWatermarkIsNotReindexed) {
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   EXPECT_EQ((*db)->storage_stats().commits, 0u);
   EXPECT_EQ(Fingerprint(**db, queries), before);
+}
+
+
+// After a failed log fsync no write may be acknowledged until a reopen,
+// including writes whose transaction an AutoTxn opens on its own: the
+// text-index flush a query runs and a direct ProvStore record. A failed
+// commit must not leave that transaction open, or every later write
+// would take the nested path and report success without committing.
+TEST(ProvenanceDbFsyncTest, FailedLogFsyncRefusesEveryLaterWrite) {
+  storage::MemEnv mem;
+  testing_env::FailFirstSyncEnv env(&mem);
+  ProvenanceDb::Options options;
+  options.db.env = &env;
+  options.db.wal_group_commit = 1;  // every commit fsyncs the log
+  auto visit = [](const std::string& slug) {
+    sim::ScenarioBuilder s;
+    s.Visit(1, "http://" + slug + ".example/", slug + " page",
+            capture::NavigationAction::kTyped);
+    return s.events();
+  };
+  {
+    auto opened = ProvenanceDb::Open("fsync.db", options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    ProvenanceDb& db = **opened;
+    ASSERT_TRUE(db.IngestAll(visit("albatross")).ok());
+
+    env.Arm();
+    EXPECT_EQ(db.IngestAll(visit("bittern")).code(),
+              util::StatusCode::kIoError);
+    EXPECT_EQ(env.syncs_failed(), 1);
+    EXPECT_FALSE(db.db().pager().InTransaction());
+
+    // The query's index refresh commits through its own AutoTxn.
+    EXPECT_EQ(db.Search("albatross").status().code(),
+              util::StatusCode::kFailedPrecondition);
+    EXPECT_FALSE(db.db().pager().InTransaction());
+    EXPECT_EQ(db.IngestAll(visit("cormorant")).code(),
+              util::StatusCode::kFailedPrecondition);
+    EXPECT_FALSE(db.db().pager().InTransaction());
+    EXPECT_EQ(db.store()
+                  .RecordVisit("http://dunlin.example/", "dunlin page",
+                               EdgeKind::kTyped, 0, 1000, 1)
+                  .status()
+                  .code(),
+              util::StatusCode::kFailedPrecondition);
+    EXPECT_FALSE(db.db().pager().InTransaction());
+  }
+  // A reopen replays the log: the batch whose fsync failed is there (its
+  // commit frame reached the log), the refused writes are not.
+  auto reopened = ProvenanceDb::Open("fsync.db", options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ProvenanceDb& db = **reopened;
+  ASSERT_TRUE(db.IngestAll(visit("egret")).ok());
+  for (const char* present : {"albatross", "bittern", "egret"}) {
+    auto hits = db.TextualSearch(present);
+    ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+    EXPECT_FALSE(hits->pages.empty()) << present;
+  }
+  for (const char* refused : {"cormorant", "dunlin"}) {
+    auto hits = db.TextualSearch(refused);
+    ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+    EXPECT_TRUE(hits->pages.empty()) << refused;
+  }
 }
 
 }  // namespace
