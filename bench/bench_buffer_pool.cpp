@@ -334,9 +334,10 @@ int main(int argc, char** argv) {
         (unsigned long long)stats.cold_frames,
         util::HumanBytes(stats.cold_bytes).c_str(),
         util::HumanBytes(stats.bytes).c_str());
-    Row("  churn: %llu demotions, %llu cold hits, %llu cold evictions "
-        "(%.0f/%.0f ns insert+pin p50/p99)",
+    Row("  churn: %llu demotions (%llu ran the codec), %llu cold hits, "
+        "%llu cold evictions (%.0f/%.0f ns insert+pin p50/p99)",
         (unsigned long long)stats.cold_demotions,
+        (unsigned long long)stats.cold_recompressions,
         (unsigned long long)stats.cold_hits,
         (unsigned long long)stats.cold_evictions, churn_ns.p50,
         churn_ns.p99);
@@ -347,6 +348,10 @@ int main(int argc, char** argv) {
     BP_CHECK(pin.p50 < kModeledDeviceReadUs,
              "a cold-tier pin must beat the device read it replaces");
     Metric("cold_demotions", static_cast<double>(stats.cold_demotions));
+    // Every insert arrives raw, so each first demotion runs the codec;
+    // a promoted frame keeps its cold bytes and re-demotes without it.
+    Metric("cold_recompressions",
+           static_cast<double>(stats.cold_recompressions));
     Metric("cold_hits", static_cast<double>(stats.cold_hits));
     Metric("cold_bytes", static_cast<double>(stats.cold_bytes));
     MetricPercentiles("cold_churn_ns", churn_ns);

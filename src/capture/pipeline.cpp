@@ -1,6 +1,7 @@
 #include "capture/pipeline.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -12,6 +13,17 @@ namespace bp::capture {
 
 using util::Result;
 using util::Status;
+
+namespace {
+
+uint64_t ElapsedNs(std::chrono::steady_clock::time_point from,
+                   std::chrono::steady_clock::time_point to) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(to - from)
+          .count());
+}
+
+}  // namespace
 
 IngestPipeline::IngestPipeline(PipelineOptions options, CommitFn commit,
                                SyncFn sync)
@@ -69,7 +81,10 @@ Result<IngestPipeline::Ticket> IngestPipeline::Enqueue(
         "Enqueue from the committer thread: a sink is feeding the "
         "pipeline back into itself");
   }
+  const auto wait_start = std::chrono::steady_clock::now();
   util::MutexLock lock(mu_);
+  const auto locked = std::chrono::steady_clock::now();
+  lock_wait_ns_.Record(ElapsedNs(wait_start, locked));
   if (!status_.ok()) return status_;
   if (stop_) return Status::Aborted("ingest pipeline is shutting down");
   if (queue_.size() >= options_.queue_capacity) {
@@ -86,6 +101,8 @@ Result<IngestPipeline::Ticket> IngestPipeline::Enqueue(
            !stop_) {
       space_cv_.wait(lock.native());
     }
+    block_wait_ns_.Record(
+        ElapsedNs(locked, std::chrono::steady_clock::now()));
     if (!status_.ok()) return status_;
     if (stop_) return Status::Aborted("ingest pipeline is shutting down");
   }
@@ -139,6 +156,8 @@ PipelineStats IngestPipeline::stats() const {
           ? 0.0
           : static_cast<double>(depth_sum_) /
                 static_cast<double>(depth_samples_);
+  out.lock_wait_ns = lock_wait_ns_.snapshot();
+  out.block_wait_ns = block_wait_ns_.snapshot();
   return out;
 }
 

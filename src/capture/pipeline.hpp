@@ -42,14 +42,10 @@
 
 #include "capture/bus.hpp"
 #include "capture/events.hpp"
+#include "obs/metrics.hpp"
 #include "util/mutex.hpp"
 #include "util/status.hpp"
 #include "util/thread_annotations.hpp"
-
-namespace bp::obs {
-class Gauge;
-class Histogram;
-}  // namespace bp::obs
 
 namespace bp::capture {
 
@@ -83,6 +79,12 @@ struct PipelineStats {
   // only at pops overstated the mean under bursty load: pops see the
   // queue at its fullest).
   double mean_queue_depth = 0;
+  // The two waits an Enqueue can pay, in ns per call: acquiring the
+  // queue mutex (every call), and parked on a full queue under kBlock
+  // (only the calls that blocked). The rest of a call's latency is the
+  // push itself.
+  obs::Histogram::Snapshot lock_wait_ns;
+  obs::Histogram::Snapshot block_wait_ns;
 };
 
 class IngestPipeline {
@@ -169,6 +171,9 @@ class IngestPipeline {
   obs::Histogram* sync_latency_us_ = nullptr;
   obs::Histogram* batch_events_ = nullptr;
   obs::Gauge* queue_depth_gauge_ = nullptr;
+  // This pipeline's Enqueue waits (see PipelineStats).
+  obs::Histogram lock_wait_ns_;
+  obs::Histogram block_wait_ns_;
   // Declared last: starts after every member above is initialized.
   std::thread committer_;
 };

@@ -1,5 +1,7 @@
 #include "storage/buffer_pool.hpp"
 
+#include <utility>
+
 #include "obs/metrics.hpp"
 #include "util/hash.hpp"
 #include "util/mutex.hpp"
@@ -47,6 +49,7 @@ struct BufferPool::Shard {
   uint64_t evictions BP_GUARDED_BY(mu) = 0;
   uint64_t pinned_skips BP_GUARDED_BY(mu) = 0;
   uint64_t cold_demotions BP_GUARDED_BY(mu) = 0;
+  uint64_t cold_recompressions BP_GUARDED_BY(mu) = 0;
   uint64_t cold_hits BP_GUARDED_BY(mu) = 0;
   uint64_t cold_evictions BP_GUARDED_BY(mu) = 0;
 
@@ -89,6 +92,12 @@ BufferPool::Shard& BufferPool::ShardFor(const PageImageKey& key) {
 // annotations can name the shard's own mutex, which needs Shard to be a
 // complete type — it never is at an in-class declaration.
 namespace {
+
+// Budget charge of a hot frame: its raw image plus the packed frame it
+// carries.
+size_t Charge(const BufferPool::Frame& frame) {
+  return frame.data->size() + frame.packed.size();
+}
 
 // Works on both node types (Frame and ColdFrame expose the same
 // prev/next shape).
@@ -148,7 +157,9 @@ void EvictColdUnderLock(BufferPool::Shard& shard, size_t shard_budget)
 // slice. With compression on, an evicted frame that compresses well is
 // demoted into the cold tier instead of dropped (its compressed size
 // still counts against the budget; the ratio floor guarantees each
-// demotion is a net decrease, so the loop still converges).
+// demotion is a net decrease, so the loop still converges). A frame
+// that carries its packed bytes demotes by moving them; only a log
+// image that arrived raw runs the codec.
 void EvictUnderLock(BufferPool::Shard& shard, size_t shard_budget,
                     const compress::CompressionOptions& compression,
                     obs::Histogram* compress_us)
@@ -184,15 +195,20 @@ void EvictUnderLock(BufferPool::Shard& shard, size_t shard_budget,
       continue;
     }
     fruitless = 0;
-    shard.bytes -= victim->data->size();
+    shard.bytes -= Charge(*victim);
     ++shard.evictions;
     Unlink(victim);
     // Copy the key out: erase(const key_type&) must not be handed a
     // reference into the node it is destroying.
     const PageImageKey victim_key = victim->key;
     if (compression.enabled() && shard.cold.count(victim_key) == 0) {
-      std::string cold_bytes;
-      {
+      std::string cold_bytes = std::move(victim->packed);
+      // A main-file image demotes only as the frame its slot holds. One
+      // that arrived without it sits in a slot the checkpointer stored
+      // raw, having failed the ratio floor already; compressing it
+      // again would be wasted work.
+      if (cold_bytes.empty() && victim_key.offset != kMainFileImage) {
+        ++shard.cold_recompressions;
         obs::ScopedTimerUs timer(compress_us);
         cold_bytes = compress::MaybeCompressPage(compression, *victim->data);
       }
@@ -239,6 +255,9 @@ std::shared_ptr<const std::string> BufferPool::Lookup(
   shard.bytes -= cold_it->second->frame.size();
   shard.cold_bytes -= cold_it->second->frame.size();
   Unlink(cold_it->second.get());
+  // The cold bytes travel with the promoted frame, so demoting it again
+  // is a move.
+  std::string packed = std::move(cold_it->second->frame);
   shard.cold.erase(cold_it);
   if (!decoded.ok() || raw.size() != kPageSize) {
     // The checksum no longer verifies (in-memory corruption after
@@ -251,7 +270,8 @@ std::shared_ptr<const std::string> BufferPool::Lookup(
   auto frame = std::make_unique<Frame>();
   frame->key = key;
   frame->data = std::make_shared<const std::string>(std::move(raw));
-  shard.bytes += frame->data->size();
+  frame->packed = std::move(packed);
+  shard.bytes += Charge(*frame);
   LinkFront(shard, frame.get());
   std::shared_ptr<const std::string> out = frame->data;
   shard.frames.emplace(key, std::move(frame));
@@ -262,9 +282,14 @@ std::shared_ptr<const std::string> BufferPool::Lookup(
 }
 
 std::shared_ptr<const std::string> BufferPool::Insert(
-    const PageImageKey& key, std::shared_ptr<const std::string> page) {
+    const PageImageKey& key, std::shared_ptr<const std::string> page,
+    std::string packed) {
   BP_CHECK(page != nullptr && page->size() == kPageSize,
            "pool frames are exactly one page");
+  if (!compression_.enabled() ||
+      !compression_.ClearsRatioFloor(packed.size(), kPageSize)) {
+    packed.clear();
+  }
   Shard& shard = ShardFor(key);
   util::MutexLock lock(shard.mu);
   auto it = shard.frames.find(key);
@@ -279,7 +304,8 @@ std::shared_ptr<const std::string> BufferPool::Insert(
   auto frame = std::make_unique<Frame>();
   frame->key = key;
   frame->data = std::move(page);
-  shard.bytes += frame->data->size();
+  frame->packed = std::move(packed);
+  shard.bytes += Charge(*frame);
   ++shard.inserts;
   LinkFront(shard, frame.get());
   std::shared_ptr<const std::string> out = frame->data;
@@ -302,7 +328,7 @@ uint64_t BufferPool::DropOwner(uint32_t owner) {
         ++it;
         continue;
       }
-      shard.bytes -= frame->data->size();
+      shard.bytes -= Charge(*frame);
       ++shard.evictions;
       Unlink(frame);
       it = shard.frames.erase(it);
@@ -339,12 +365,13 @@ BufferPoolStats BufferPool::stats() const {
     out.bytes += shard.bytes;
     out.frames += shard.frames.size();
     out.cold_demotions += shard.cold_demotions;
+    out.cold_recompressions += shard.cold_recompressions;
     out.cold_hits += shard.cold_hits;
     out.cold_evictions += shard.cold_evictions;
     out.cold_bytes += shard.cold_bytes;
     out.cold_frames += shard.cold.size();
     for (const auto& [key, frame] : shard.frames) {
-      if (frame->data.use_count() > 1) out.pinned_bytes += frame->data->size();
+      if (frame->data.use_count() > 1) out.pinned_bytes += Charge(*frame);
     }
   }
   return out;

@@ -52,6 +52,19 @@
 // bytes exceed the budget) is unconditional, oldest first; the cold
 // share is additionally capped at half each shard's budget so a well-
 // compressing workload cannot starve the hot tier.
+//
+// Demotion is a move, not a compression, whenever it can be. A frame
+// may carry the compressed frame it arrived as — a checkpointed main-
+// file slot hands over its stored frame, a cold hit hands its cold
+// bytes to the promoted frame — and demoting it moves those bytes into
+// the cold tier. Only log images that arrived raw (WAL-resident images
+// and images the writer publishes at commit) run the codec on demotion.
+// A main-file image that arrived raw sits in a slot the checkpointer
+// stored raw because it failed the ratio floor, so it is dropped on
+// eviction rather than compressed again. (So is a main-file image the
+// live pager evicts: it hands over the decoded page only.)
+// The carried bytes count against the byte budget wherever they live,
+// so a hot frame costs its raw page plus its packed frame.
 #pragma once
 
 #include <array>
@@ -106,6 +119,10 @@ struct BufferPoolStats {
   // are counted inside `bytes` (one budget); `frames` counts the hot
   // tier only.
   uint64_t cold_demotions = 0;  // evictions demoted instead of dropped
+  // Evictions that ran the codec to demote a log image that arrived
+  // raw (whether or not the result cleared the ratio floor). Demotions
+  // of frames that carried their packed bytes do not count.
+  uint64_t cold_recompressions = 0;
   uint64_t cold_hits = 0;       // misses rescued by a cold decompress
   uint64_t cold_evictions = 0;  // cold frames aged out entirely
   uint64_t cold_bytes = 0;      // resident compressed bytes right now
@@ -136,8 +153,15 @@ class BufferPool {
   // same key in first — the already-resident frame, so concurrent first
   // readers of one page converge on a single copy. May evict cold
   // frames to stay under budget. Thread-safe.
+  //
+  // `packed`, when given, is a compressed frame that decodes to `page`
+  // (a checkpointed slot's frame, trimmed to its stored size). The
+  // frame keeps it and demotes by moving it into the cold tier instead
+  // of compressing `page` again. It is ignored — and charged nothing —
+  // with compression off or when it does not clear the ratio floor.
   std::shared_ptr<const std::string> Insert(
-      const PageImageKey& key, std::shared_ptr<const std::string> page);
+      const PageImageKey& key, std::shared_ptr<const std::string> page,
+      std::string packed = {});
 
   // Drops every unpinned frame belonging to `owner` and returns how
   // many were dropped. A closing pager calls this: its owner id is
@@ -165,6 +189,9 @@ class BufferPool {
   struct Frame {
     PageImageKey key;
     std::shared_ptr<const std::string> data;
+    // The compressed frame `data` arrived as, or empty. Charged to the
+    // budget alongside `data`.
+    std::string packed;
     Frame* prev = nullptr;  // intrusive LRU list; head = MRU
     Frame* next = nullptr;
   };

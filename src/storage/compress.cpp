@@ -362,8 +362,7 @@ std::string MaybeCompressPage(const CompressionOptions& options,
                               std::string_view page) {
   if (!options.enabled()) return {};
   std::string frame = Compress(Codec::kLz, page);
-  const double budget = options.ratio_floor * static_cast<double>(page.size());
-  if (static_cast<double>(frame.size()) > budget) return {};
+  if (!options.ClearsRatioFloor(frame.size(), page.size())) return {};
   return frame;
 }
 

@@ -104,6 +104,12 @@ struct CompressionOptions {
 
   static Mode DefaultMode();
   bool enabled() const { return mode == Mode::kFast; }
+  // Whether a frame of `frame_size` bytes standing for `raw_size` raw
+  // bytes is worth keeping under this policy.
+  bool ClearsRatioFloor(size_t frame_size, size_t raw_size) const {
+    return static_cast<double>(frame_size) <=
+           ratio_floor * static_cast<double>(raw_size);
+  }
 };
 
 // Applies the ratio policy: returns the kLz frame for `page` when

@@ -911,6 +911,7 @@ PagerStats Pager::stats() const {
     out.pool_frames = pool.frames;
     out.pool_pinned_bytes = pool.pinned_bytes;
     out.pool_cold_demotions = pool.cold_demotions;
+    out.pool_cold_recompressions = pool.cold_recompressions;
     out.pool_cold_hits = pool.cold_hits;
     out.pool_cold_evictions = pool.cold_evictions;
     out.pool_cold_bytes = pool.cold_bytes;
@@ -985,6 +986,9 @@ void Pager::CollectMetrics(obs::CollectionSink& sink) const {
     counter("bp_pool_cold_demotions",
             "Pool evictions demoted into the compressed cold tier",
             s.pool_cold_demotions);
+    counter("bp_pool_cold_recompressions",
+            "Pool evictions that ran the codec to demote a raw log image",
+            s.pool_cold_recompressions);
     counter("bp_pool_cold_hits",
             "Pool misses rescued by decompressing a cold frame",
             s.pool_cold_hits);

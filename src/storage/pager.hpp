@@ -163,10 +163,13 @@ struct PagerStats {
   // Pool bytes currently pinned by live readers (see BufferPoolStats).
   uint64_t pool_pinned_bytes = 0;
   // Compressed cold tier of the pool (all zero with compression off):
-  // evictions demoted into compressed frames, pool misses rescued by
+  // evictions demoted into compressed frames, evictions that ran the
+  // codec to demote a raw log image (the rest move the packed frame a
+  // checkpointed slot or a cold hit handed over), pool misses rescued by
   // decompressing a cold frame, cold frames aged out entirely, and the
   // tier's resident footprint (counted inside pool_bytes' budget).
   uint64_t pool_cold_demotions = 0;
+  uint64_t pool_cold_recompressions = 0;
   uint64_t pool_cold_hits = 0;
   uint64_t pool_cold_evictions = 0;
   uint64_t pool_cold_bytes = 0;

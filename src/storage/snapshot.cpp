@@ -68,6 +68,8 @@ Result<std::shared_ptr<const std::string>> Snapshot::ReadPage(
   // page both fetch; the pool adopts one winner (the loser's copy dies),
   // the fallback cache keeps whichever inserted first.
   auto page = std::make_shared<std::string>();
+  // The compressed frame a checkpointed slot held, for the pool to keep.
+  std::string packed;
   if (in_wal) {
     // Latest committed image as of this snapshot lives in the log. The
     // log only grows while snapshots are live (checkpoint truncation is
@@ -82,8 +84,10 @@ Result<std::shared_ptr<const std::string>> Snapshot::ReadPage(
                             page.get()));
     // Checkpointed slots may hold a compressed frame (self-describing,
     // checksummed — storage/compress.hpp). Decode BEFORE memoizing or
-    // publishing: pool images are always raw pages (the pool compresses
-    // into its own cold tier), and the writer trusts pooled images.
+    // publishing: pool images are raw pages, and the writer trusts
+    // pooled images. The frame itself, trimmed to its stored size,
+    // rides along into the pool, so demoting the page into the cold
+    // tier later is a move, not a second compression.
     if (compress::LooksLikeFrame(*page)) {
       obs::ScopedTimerUs decode_timer(pager_->decompress_latency_us_);
       std::string raw;
@@ -92,6 +96,12 @@ Result<std::shared_ptr<const std::string>> Snapshot::ReadPage(
         return Status::Corruption(util::StrFormat(
             "snapshot page %u: compressed frame decodes to %zu bytes", id,
             raw.size()));
+      }
+      if (pool_ != nullptr) {
+        // Decompress checked the stored size against the slot.
+        BP_ASSIGN_OR_RETURN(compress::FrameInfo info,
+                            compress::Inspect(*page));
+        packed.assign(*page, 0, info.stored_size);
       }
       *page = std::move(raw);
       decompress_reads_.fetch_add(1, std::memory_order_relaxed);
@@ -102,7 +112,7 @@ Result<std::shared_ptr<const std::string>> Snapshot::ReadPage(
   std::shared_ptr<const std::string> out = std::move(page);
   if (pool_ != nullptr) {
     // The pool adopts one winner per image; memoize whatever it keeps.
-    out = pool_->Insert(key, std::move(out));
+    out = pool_->Insert(key, std::move(out), std::move(packed));
   }
   util::MutexLock lock(mu_);
   if (cache_.size() < cache_cap_) {

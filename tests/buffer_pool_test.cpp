@@ -361,6 +361,166 @@ TEST(BufferPoolTest, ConcurrentColdTierTrafficKeepsImagesIntact) {
   EXPECT_LE(stats.bytes, budget);
 }
 
+// The compressed frame a checkpointed slot would hand the pool for
+// TaggedImage(id).
+std::string Packed(PageId id) {
+  return compress::Compress(compress::Codec::kLz, *TaggedImage(id));
+}
+
+// Inserts TaggedImage(id) for ids [first, first + count) with their
+// packed frames: enough traffic to push older frames out of the hot tier
+// without any insert that could run the codec on demotion.
+void InsertPacked(BufferPool& pool, PageId first, PageId count) {
+  for (PageId id = first; id < first + count; ++id) {
+    (void)pool.Insert(Key(id, id), TaggedImage(id), Packed(id));
+  }
+}
+
+TEST(BufferPoolTest, PackedFrameDemotesWithoutRecompression) {
+  const size_t budget = BufferPool::kShards * 4 * kPageSize;
+  BufferPool pool(budget, Fast());
+  InsertPacked(pool, 1, 128);
+  BufferPoolStats stats = pool.stats();
+  EXPECT_GT(stats.cold_demotions, 0u);
+  EXPECT_EQ(stats.cold_recompressions, 0u);
+
+  // A cold hit decodes the carried frame back to the exact page.
+  bool promoted = false;
+  for (PageId id = 1; id <= 128 && !promoted; ++id) {
+    const uint64_t cold_hits = pool.stats().cold_hits;
+    auto hit = pool.Lookup(Key(id, id));
+    if (pool.stats().cold_hits == cold_hits + 1) {
+      promoted = true;
+      ASSERT_NE(hit, nullptr);
+      EXPECT_EQ(*hit, *TaggedImage(id));
+    }
+  }
+  EXPECT_TRUE(promoted);
+  EXPECT_EQ(pool.stats().cold_recompressions, 0u);
+}
+
+TEST(BufferPoolTest, PromotedFrameRedemotesWithoutRecompression) {
+  const size_t budget = BufferPool::kShards * 4 * kPageSize;
+  BufferPool pool(budget, Fast());
+  const PageImageKey raw_key = Key(1000, 1000);
+  (void)pool.Insert(raw_key, TaggedImage(1000));  // arrives raw
+  // Push it out: its demotion is the only one that runs the codec.
+  PageId next = 1;
+  while (pool.stats().cold_recompressions == 0 && next < 4096) {
+    InsertPacked(pool, next++, 1);
+  }
+  ASSERT_EQ(pool.stats().cold_recompressions, 1u);
+
+  // Promote it (a cold hit), release it, and push it out again.
+  const uint64_t cold_hits = pool.stats().cold_hits;
+  ASSERT_NE(pool.Lookup(raw_key), nullptr);
+  ASSERT_EQ(pool.stats().cold_hits, cold_hits + 1);
+  InsertPacked(pool, next, 256);
+
+  // Back from the cold tier again, exact, and the codec never re-ran.
+  BufferPoolStats before = pool.stats();
+  auto again = pool.Lookup(raw_key);
+  ASSERT_NE(again, nullptr);
+  EXPECT_EQ(*again, *TaggedImage(1000));
+  EXPECT_EQ(pool.stats().cold_hits, before.cold_hits + 1);
+  EXPECT_EQ(pool.stats().cold_recompressions, 1u);
+}
+
+TEST(BufferPoolTest, RawMainFileImageIsDroppedWithoutTheCodec) {
+  // A main-file image without packed bytes sits in a slot the
+  // checkpointer stored raw (it failed the ratio floor); eviction drops
+  // it instead of compressing it again. A raw log image still demotes.
+  const size_t budget = BufferPool::kShards * 4 * kPageSize;
+  BufferPool pool(budget, Fast());
+  for (PageId id = 1; id <= 128; ++id) {
+    (void)pool.Insert(Key(id), TaggedImage(id));
+  }
+  BufferPoolStats stats = pool.stats();
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_EQ(stats.cold_demotions, 0u);
+  EXPECT_EQ(stats.cold_recompressions, 0u);
+
+  for (PageId id = 1; id <= 128; ++id) {
+    (void)pool.Insert(Key(id, id), TaggedImage(id));
+  }
+  stats = pool.stats();
+  EXPECT_GT(stats.cold_demotions, 0u);
+  EXPECT_EQ(stats.cold_recompressions, stats.cold_demotions);
+}
+
+TEST(BufferPoolTest, BudgetChargesRawPlusPackedPlusCold) {
+  // Every TaggedImage packs to the same size, so the charge of the hot
+  // tier is frames * (page + packed).
+  const size_t packed = Packed(1).size();
+  for (PageId id = 2; id <= 512; ++id) ASSERT_EQ(Packed(id).size(), packed);
+
+  // Roomy pool: nothing evicts, every frame charges page + packed.
+  BufferPool roomy(1 << 24, Fast());
+  InsertPacked(roomy, 1, 64);
+  EXPECT_EQ(roomy.stats().bytes, 64 * (kPageSize + packed));
+
+  // Tight pool: hot frames still charge page + packed, cold frames
+  // their packed bytes, and the total stays within budget.
+  const size_t budget = BufferPool::kShards * 4 * kPageSize;
+  BufferPool pool(budget, Fast());
+  InsertPacked(pool, 1, 512);
+  BufferPoolStats stats = pool.stats();
+  ASSERT_GT(stats.cold_frames, 0u);
+  EXPECT_EQ(stats.cold_bytes, stats.cold_frames * packed);
+  EXPECT_EQ(stats.bytes,
+            stats.frames * (kPageSize + packed) + stats.cold_bytes);
+  EXPECT_EQ(stats.pinned_bytes, 0u);
+  EXPECT_LE(stats.bytes, budget);
+
+  // A pinned frame pins its packed bytes too.
+  auto held = pool.Insert(Key(9999, 9999), TaggedImage(9999), Packed(9999));
+  EXPECT_EQ(pool.stats().pinned_bytes, kPageSize + Packed(9999).size());
+}
+
+TEST(BufferPoolTest, PackedBytesAreChargedNothingWithCompressionOff) {
+  BufferPool pool(1 << 24, Off());
+  InsertPacked(pool, 1, 64);
+  BufferPoolStats stats = pool.stats();
+  EXPECT_EQ(stats.bytes, 64 * kPageSize);
+  EXPECT_EQ(stats.cold_bytes, 0u);
+}
+
+TEST(BufferPoolTest, PackedFrameOverTheRatioFloorIsChargedNothing) {
+  // A frame that saves too little (here: the raw codec, which only adds
+  // a header) would double the page's charge; the pool does not keep it.
+  BufferPool pool(1 << 24, Fast());
+  (void)pool.Insert(Key(1, 1), TaggedImage(1),
+                    compress::Compress(compress::Codec::kNone,
+                                       *TaggedImage(1)));
+  EXPECT_EQ(pool.stats().bytes, kPageSize);
+}
+
+TEST(BufferPoolTest, CorruptPackedFrameColdHitIsAMiss) {
+  // A packed frame with a flipped payload byte demotes as is; its cold
+  // hit fails the checksum and reports a miss, never a crash or a wrong
+  // page.
+  const size_t budget = BufferPool::kShards * 4 * kPageSize;
+  BufferPool pool(budget, Fast());
+  const PageImageKey key = Key(1000, 1000);
+  std::string bad = Packed(1000);
+  bad[compress::kFrameHeaderSize + 3] ^= 0x40;
+  (void)pool.Insert(key, TaggedImage(1000), std::move(bad));
+  InsertPacked(pool, 1, 256);
+
+  BufferPoolStats before = pool.stats();
+  EXPECT_EQ(pool.Lookup(key), nullptr);
+  BufferPoolStats after = pool.stats();
+  // It was cold (the lookup dropped its frame) and counted as a miss.
+  EXPECT_EQ(after.cold_frames, before.cold_frames - 1);
+  EXPECT_EQ(after.cold_hits, before.cold_hits);
+  EXPECT_EQ(after.misses, before.misses + 1);
+  // The caller re-reads and re-inserts; the pool serves the good page.
+  (void)pool.Insert(key, TaggedImage(1000));
+  auto hit = pool.Lookup(key);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(*hit, *TaggedImage(1000));
+}
+
 TEST(BufferPoolTest, DropOwnerForgetsOnlyThatOwnersUnpinnedFrames) {
   BufferPool pool(1 << 20);
   PageImageKey mine_cold{/*owner=*/1, /*id=*/1, /*generation=*/0,

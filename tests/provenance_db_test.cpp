@@ -5,6 +5,7 @@
 // commit horizon, isolated from — and concurrent with — ingestion.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <memory>
@@ -21,6 +22,7 @@
 #include "storage/env.hpp"
 #include "tests/fail_sync_env.hpp"
 #include "text/tokenizer.hpp"
+#include "util/rng.hpp"
 #include "util/serde.hpp"
 #include "util/strings.hpp"
 
@@ -572,6 +574,94 @@ TEST_F(ProvenanceDbTest, PoolCountersStayConsistentAcrossOneShotQueries) {
   EXPECT_EQ(pool_lookups, snapshot_fetches);
   // Repeated identical queries must actually warm the pool.
   EXPECT_GT(after.pool_hits, before.pool_hits);
+}
+
+TEST(ProvenanceDbSmallPoolTest, CompressedSmallPoolAnswersLikeAFullCache) {
+  // A compressed database reopened with a pool of a third of its bytes
+  // evicts, demotes into the cold tier and promotes back on every query;
+  // its answers must equal a fully cached open of the same bytes. Every
+  // page the read path fetches is a checkpointed slot, so each frame
+  // arrives with its packed bytes and no demotion runs the codec.
+  util::Rng rng(7);
+  sim::Vocabulary vocab = sim::Vocabulary::Create(rng, {});
+  sim::WebGraph web = sim::WebGraph::Generate(rng, {}, vocab);
+  sim::UserConfig user;
+  user.seed = 11;
+  user.days = 3;
+  sim::SimOutput history = sim::BrowserSim(web, user).Run();
+
+  storage::MemEnv env;
+  ProvenanceDb::Options options;
+  options.db.env = &env;
+  options.db.compression.mode =
+      storage::compress::CompressionOptions::Mode::kFast;
+  {
+    auto writer = ProvenanceDb::Open("small_pool.db", options);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    ASSERT_TRUE((*writer)->IngestAll(history.events).ok());
+    ASSERT_TRUE((*writer)->BeginSnapshot().ok());  // builds the text index
+    ASSERT_TRUE((*writer)->Checkpoint().ok());
+    ASSERT_TRUE((*writer)->Close().ok());
+  }
+  std::vector<std::string> queries;
+  for (const sim::SearchEpisode& episode : history.searches) {
+    if (std::find(queries.begin(), queries.end(), episode.query) ==
+        queries.end()) {
+      queries.push_back(episode.query);
+    }
+    if (queries.size() == 12) break;
+  }
+  ASSERT_GE(queries.size(), 4u);
+
+  const std::map<std::string, std::string> image = env.SnapshotAll();
+  storage::MemEnv cached_env;
+  cached_env.RestoreAll(image);
+  ProvenanceDb::Options cached_options = options;
+  cached_options.db.env = &cached_env;
+  cached_options.db.pool_bytes = size_t{64} << 20;
+  options.db.pool_bytes = image.at("small_pool.db").size() / 3;
+  auto small = ProvenanceDb::Open("small_pool.db", options);
+  ASSERT_TRUE(small.ok()) << small.status().ToString();
+  auto cached = ProvenanceDb::Open("small_pool.db", cached_options);
+  ASSERT_TRUE(cached.ok()) << cached.status().ToString();
+
+  // Result URLs (or the augmented query) of each use case, in order.
+  auto answers = [&](ProvenanceDb& db) {
+    std::vector<std::string> out;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      std::string digest;
+      auto search = db.Search(queries[i]);
+      EXPECT_TRUE(search.ok()) << search.status().ToString();
+      if (search.ok()) {
+        for (const auto& page : search->pages) digest += page.url + "\n";
+      }
+      auto personalized = db.Personalize(queries[i]);
+      EXPECT_TRUE(personalized.ok()) << personalized.status().ToString();
+      if (personalized.ok()) digest += personalized->AugmentedQuery() + "\n";
+      auto tc = db.TimeContext(queries[i], queries[(i + 1) % queries.size()]);
+      EXPECT_TRUE(tc.ok()) << tc.status().ToString();
+      if (tc.ok()) {
+        for (const auto& match : tc->matches) {
+          digest += match.page.url + (match.co_open ? " co\n" : "\n");
+        }
+      }
+      out.push_back(std::move(digest));
+    }
+    return out;
+  };
+  const std::vector<std::string> expected = answers(**cached);
+
+  const storage::PagerStats before = (*small)->storage_stats();
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_EQ(answers(**small), expected) << "round " << round;
+  }
+  const storage::PagerStats after = (*small)->storage_stats();
+  // The small pool really ran its cold tier.
+  EXPECT_GT(after.pool_cold_demotions, before.pool_cold_demotions);
+  EXPECT_GT(after.pool_cold_hits, before.pool_cold_hits);
+  EXPECT_EQ(after.commits, before.commits);
+  EXPECT_EQ(before.pool_cold_recompressions, 0u);
+  EXPECT_EQ(after.pool_cold_recompressions, 0u);
 }
 
 TEST_F(ProvenanceDbTest, DebugDumpExportsMetricsAndSpans) {
